@@ -19,7 +19,6 @@ import os
 import resource
 import sys
 import types
-from time import perf_counter
 
 from speed import SpeedSampler  # perfbench/ is the script's directory
 from tracing import Tracer, library_modules, rebind
