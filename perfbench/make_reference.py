@@ -9,8 +9,10 @@ sends every request any workload can send once, and records the digest of
 each output.  Before writing, it cross-checks outputs against the brute force
 of tests/oracle.py, used read-only: every count, listing and class series
 coefficient with weight at most 25, and the weight and class of every map
-image.  The digests are the reference: a later change that alters any output
-byte makes the benchmark report it as failed.
+image.  It also records the inner results outputs.py checks (listings,
+series, sampled map images), each the same every time it was produced.  The
+digests and inner results are the reference: a later change that alters any
+output byte makes the benchmark report it as failed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 import sys
 
 import workloads
+from outputs import OutputCheck
 from worker import digest, execute, load_library
 
 POOL_SEED = 20251105
@@ -266,7 +269,7 @@ def cross_check(argv: list[str], text: str, category: str) -> bool:
     return False
 
 
-def write_reference(pools: dict, digests: dict, checked: int) -> None:
+def write_reference(pools: dict, digests: dict, outputs: dict, checked: int) -> None:
     """One pool entry or digest per line, so a diff of the file stays readable."""
     cli = {
         category: [[argv, digests[workloads.request_key(["cli", argv])]] for argv in pool]
@@ -283,6 +286,10 @@ def write_reference(pools: dict, digests: dict, checked: int) -> None:
     lines.append('"digests": {')
     items = list(digests.items())
     lines += [f"{json.dumps(k)}: {json.dumps(v)}" + ("," if j < len(items) - 1 else "") for j, (k, v) in enumerate(items)]
+    lines.append("},")
+    lines.append('"outputs": {')
+    items = sorted(outputs.items())
+    lines += [f"{json.dumps(k)}: {json.dumps(v)}" + ("," if j < len(items) - 1 else "") for j, (k, v) in enumerate(items)]
     lines += ["}", "}"]
     with open(workloads.REFERENCE_PATH, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -298,6 +305,8 @@ def main() -> int:
     root = os.getcwd()
     sys.path.insert(0, os.path.join(root, "tests"))
     lib = load_library(root)
+    check = OutputCheck(None)
+    check.install(lib)
     pools = build_pools()
     digests: dict[str, str] = {}
     checked = 0
@@ -315,8 +324,8 @@ def main() -> int:
             raise AssertionError(f"{request} did not pass: {text}")
         digests[workloads.request_key(request)] = digest(text)
         print(f"{request} done", file=sys.stderr, flush=True)
-    write_reference(pools, digests, checked)
-    print(f"{len(digests)} digests, {checked} cross-checked", file=sys.stderr)
+    write_reference(pools, digests, check.recorded, checked)
+    print(f"{len(digests)} digests, {len(check.recorded)} inner results, {checked} cross-checked", file=sys.stderr)
     return 0
 
 

@@ -8,7 +8,8 @@ workloads.py), one pass after another, each pass in a fresh interpreter so
 that nothing cached carries over between passes; caches may be shared within
 a pass, as within one selftest session.  Passes are sent until the next one
 would end after --seconds.  Every output is checked against the digest in
-reference.json.
+reference.json, and so are the listings, series and sampled map images the
+program builds inside a request (outputs.py).
 
 The last line of stdout is {"correct", "attempted", "failed", "metrics"}.
 The line before it records the environment, the seed, failed_frac and the raw
@@ -25,11 +26,14 @@ speed.py): it reads as seconds on a reference machine.
                  latency, since a pass is one verification session that a
                  user waits for as a whole (latency of single calls inside
                  it is in the traced run)
-  req_per_s    requests answered per second of request time
+  req_per_s    median over passes of requests answered per second of the
+               pass's request time
   peak_rss_mb  median over passes of the pass's peak resident set size
---trace 1 runs pass 0 untraced and then traced, and reports the per-layer
-metrics of tracing.PER_LAYER, including the tracing overhead; its detail line
-names the end-to-end metric each per-layer metric is expected to move.
+--trace 1 runs pass 0 untraced and then traced, pair after pair until the
+next pair would end after --seconds, and reports the per-layer metrics of
+tracing.PER_LAYER as medians over the traced passes, and the tracing overhead
+as the traced median pass time minus the untraced one; its detail line names
+the end-to-end metric each per-layer metric is expected to move.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import sys
 from time import perf_counter
 
 import workloads
-from tracing import PER_LAYER
+from tracing import COUNTS, PER_LAYER
 from worker import digest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -101,12 +105,12 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def run_pass(requests: list, trace: bool, fault: str | None = None) -> dict:
+def run_pass(requests: list, reference: dict, trace: bool, fault: str | None = None) -> dict:
     """Send one pass through a fresh worker interpreter."""
-    spec = json.dumps({"requests": requests, "trace": trace, "fault": fault})
+    spec = {"requests": requests, "trace": trace, "fault": fault, "outputs": reference["outputs"]}
     proc = subprocess.run(
         [sys.executable, WORKER],
-        input=spec,
+        input=json.dumps(spec),
         capture_output=True,
         text=True,
         timeout=CHILD_TIMEOUT_S,
@@ -118,10 +122,11 @@ def run_pass(requests: list, trace: bool, fault: str | None = None) -> dict:
 
 
 def count_failures(requests: list, result: dict, reference: dict) -> int:
+    """Requests whose output digest differs or whose inner results mismatched."""
     expected = reference["digests"]
     return sum(
-        expected.get(workloads.request_key(req)) != got
-        for req, got in zip(requests, result["digests"], strict=True)
+        expected.get(workloads.request_key(req)) != got or mismatched > 0
+        for req, got, mismatched in zip(requests, result["digests"], result["mismatches"], strict=True)
     )
 
 
@@ -160,21 +165,28 @@ def end_to_end(workload: str, passes: list[dict], setup_s: float) -> dict:
         latencies = [t for p in passes for t in p["latencies"]]
     else:
         latencies = walls
-    requests = sum(len(p["latencies"]) for p in passes)
     values = {
         "setup_s": (setup_s, "s"),
         "wall_s": (statistics.median(walls), "s"),
         "p50_ms": (1000 * percentile(latencies, 0.50), "ms"),
         "p99_ms": (1000 * percentile(latencies, 0.99), "ms"),
-        "req_per_s": (requests / sum(walls), "1/s"),
+        "req_per_s": (statistics.median(len(p["latencies"]) / w for p, w in zip(passes, walls)), "1/s"),
         "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes), "MB"),
     }
     return {name: {"value": v, "unit": unit} for name, (v, unit) in values.items()}
 
 
-def per_layer(untraced: dict, traced: dict) -> dict:
-    plain_wall, traced_wall = sum(untraced["latencies"]), sum(traced["latencies"])
-    values = dict(traced["layers"])
+def per_layer(untraced: list[dict], traced: list[dict]) -> dict:
+    """Medians over the traced passes; the overhead is the traced median pass
+    time minus the untraced one."""
+    values = {}
+    for name in traced[0]["layers"]:
+        samples = [t["layers"][name] for t in traced]
+        # counts repeat exactly; median_low keeps them whole numbers
+        counted = name.rpartition(".")[2] in COUNTS
+        values[name] = statistics.median_low(samples) if counted else statistics.median(samples)
+    plain_wall = statistics.median(sum(p["latencies"]) for p in untraced)
+    traced_wall = statistics.median(sum(p["latencies"]) for p in traced)
     values["trace.overhead_s"] = traced_wall - plain_wall
     values["trace.overhead_frac"] = (traced_wall - plain_wall) / plain_wall
     return {name: {"value": values[name], "unit": unit} for name, unit, _moves in PER_LAYER}
@@ -191,23 +203,28 @@ def main(argv: list[str] | None = None) -> int:
     def send(index: int, trace: bool) -> dict:
         nonlocal attempted, failed
         requests = workloads.pass_requests(args.workload, args.seed, index, reference)
-        result = run_pass(requests, trace)
+        result = run_pass(requests, reference, trace)
         attempted += len(requests)
         failed += count_failures(requests, result, reference)
         return result
 
-    if args.trace:
-        metrics = per_layer(send(0, False), send(0, True))
-        extra = {"passes": 2, "moves": {name: moves for name, _unit, moves in PER_LAYER}}
-    else:
-        setup_s, raw_setup_s, attempted, failed = measure_setup(reference)
+    def repeat(send_once) -> list:
+        """Call send_once(count so far) until the next call would end after --seconds."""
         start, results, clock = perf_counter(), [], []
         while True:
             t0 = perf_counter()
-            results.append(send(len(results), False))
+            results.append(send_once(len(results)))
             clock.append(perf_counter() - t0)
             if perf_counter() - start + statistics.median(clock) > args.seconds:
-                break
+                return results
+
+    if args.trace:
+        pairs = repeat(lambda _: (send(0, False), send(0, True)))
+        metrics = per_layer([u for u, _ in pairs], [t for _, t in pairs])
+        extra = {"passes": 2 * len(pairs), "moves": {name: moves for name, _unit, moves in PER_LAYER}}
+    else:
+        setup_s, raw_setup_s, attempted, failed = measure_setup(reference)
+        results = repeat(lambda index: send(index, False))
         metrics = end_to_end(args.workload, results, setup_s)
         raw_wall_s = statistics.median(sum(p["raw_latencies"]) for p in results)
         extra = {"passes": len(results), "raw_seconds": {"setup_s": raw_setup_s, "wall_s": raw_wall_s}}

@@ -8,8 +8,10 @@ Run from the root of a checkout:
 3. Seeded faults: pass 0 of each workload, run with a public function
    rebound to a wrong version (worker.FAULTS), must report failures, and the
    same pass without the fault must report none.  series_verify makes no map
-   calls and listing_maps no series calls, so each is paired with the fault
-   in the layer it loads; cli_mix must catch both.
+   or enumeration calls and listing_maps no series calls, so each is paired
+   with the faults in the layers it loads; cli_mix must catch all three.
+   enumerate_order keeps every count, set and round trip right, so only the
+   check of inner results (outputs.py) catches it on listing_maps.
 4. Two traced runs of pass 0 give identical deterministic counts.
 Exits 1 if any check fails.
 """
@@ -23,14 +25,13 @@ import sys
 
 import workloads
 from run import count_failures, run_pass
-from tracing import PER_LAYER
+from tracing import COUNTS, PER_LAYER
 
 FAULTS_CAUGHT = {
     "series_verify": ("gf_class",),
-    "listing_maps": ("c_to_b",),
-    "cli_mix": ("gf_class", "c_to_b"),
+    "listing_maps": ("c_to_b", "enumerate_order"),
+    "cli_mix": ("gf_class", "c_to_b", "enumerate_order"),
 }
-DETERMINISTIC = ("calls", "coeff_ops", "listed", "repeat_frac", "stdout_bytes")
 
 
 def main() -> int:
@@ -54,14 +55,14 @@ def main() -> int:
     for workload, faults in FAULTS_CAUGHT.items():
         requests = workloads.pass_requests(workload, seed, 0, reference)
         for fault in (None,) + faults:
-            failed = count_failures(requests, run_pass(requests, False, fault), reference)
-            print(f"{workload:14} fault={fault or '-':9} failed {failed}/{len(requests)}")
+            failed = count_failures(requests, run_pass(requests, reference, False, fault), reference)
+            print(f"{workload:14} fault={fault or '-':15} failed {failed}/{len(requests)}")
             if (failed > 0) != (fault is not None):
                 problems.append(f"{workload} with fault {fault}: {failed} failed")
 
-        layers = [run_pass(requests, True)["layers"] for _ in range(2)]
+        layers = [run_pass(requests, reference, True)["layers"] for _ in range(2)]
         counts = [
-            {k: v for k, v in run.items() if k.rpartition(".")[2] in DETERMINISTIC} for run in layers
+            {k: v for k, v in run.items() if k.rpartition(".")[2] in COUNTS} for run in layers
         ]
         print(f"{workload:14} traced twice: {len(counts[0])} deterministic counts "
               f"{'identical' if counts[0] == counts[1] else 'DIFFER'}")

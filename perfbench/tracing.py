@@ -24,6 +24,9 @@ from workloads import C_FORMS, CHAIN_STAGES, IDENTITIES
 SERIES_WALL = "series_verify.wall_s"
 LISTING_WALL = "listing_maps.wall_s"
 
+# Fields of per-layer metrics that repeat exactly from run to run.
+COUNTS = ("calls", "coeff_ops", "listed", "repeat_frac", "stdout_bytes")
+
 CLASSES = ("A", "B", "C", "D")
 COUNT_METHODS = ("enumeration", "dynamic-program", "series-coefficient")
 MAPS = ("glaisher_to_odd", "glaisher_to_distinct", "c_to_b", "b_to_c", "d_reduce", "d_lift")

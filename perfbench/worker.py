@@ -2,10 +2,11 @@
 
 Run from the root of a checkout as
     python3 perfbench/worker.py < spec.json
-where the spec is {"requests": [...], "trace": bool, "fault": name or null}.
-Prints one JSON line: per-request latencies (normalized for machine speed,
-see speed.py, and raw) and output digests, the pass's peak RSS, the bytes written to stdout by cli requests, and, when traced, the
-per-layer metrics.  Only eulerlab from ./src is imported.
+where the spec is {"requests": [...], "trace": bool, "fault": name or null,
+"outputs": {key: value}} (outputs.py).  Prints one JSON line: per-request
+latencies (normalized for machine speed, see speed.py, and raw), output
+digests and mismatched inner results, the pass's peak RSS, and, when traced,
+the per-layer metrics.  Only eulerlab from ./src is imported.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import resource
 import sys
 import types
 
-from speed import SpeedSampler  # perfbench/ is the script's directory
+from outputs import OutputCheck  # perfbench/ is the script's directory
+from speed import SpeedSampler
 from tracing import Tracer, library_modules, rebind
 
 
@@ -95,7 +97,21 @@ def _fault_c_to_b(lib):
     return original, c_to_b
 
 
-FAULTS = {"gf_class": _fault_gf_class, "c_to_b": _fault_c_to_b}
+def _fault_enumerate_order(lib):
+    """Lex increasing instead of decreasing: every count and set is still right."""
+    original = lib.partitions.enumerate_class
+
+    def enumerate_class(*args, **kwargs):
+        return original(*args, **kwargs)[::-1]
+
+    return original, enumerate_class
+
+
+FAULTS = {
+    "gf_class": _fault_gf_class,
+    "c_to_b": _fault_c_to_b,
+    "enumerate_order": _fault_enumerate_order,
+}
 
 
 def send(lib, request) -> str:
@@ -105,24 +121,28 @@ def send(lib, request) -> str:
         return f"raised {type(exc).__name__}: {exc}"
 
 
-def run_pass(lib, requests, trace: bool) -> dict:
+def run_pass(lib, requests, trace: bool, check: OutputCheck) -> dict:
+    check.install(lib)
     tracer = None
     if trace:
         tracer = Tracer()
         tracer.install(lib)
-    latencies, raw_latencies, digests, written = [], [], [], 0
+    latencies, raw_latencies, digests, mismatches, written = [], [], [], [], 0
     with SpeedSampler() as sampler:
         for request in requests:
+            before = check.mismatches
             text, raw, normalized = sampler.time(send, lib, request)
             latencies.append(normalized)
             raw_latencies.append(raw)
             digests.append(digest(text))
+            mismatches.append(check.mismatches - before)
             if request[0] == "cli":
                 written += stdout_bytes(text)
     result = {
         "latencies": latencies,
         "raw_latencies": raw_latencies,
         "digests": digests,
+        "mismatches": mismatches,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if tracer is not None:
@@ -136,7 +156,8 @@ def main() -> int:
     if spec.get("fault"):
         original, replacement = FAULTS[spec["fault"]](lib)
         rebind(library_modules(lib), original, replacement)
-    print(json.dumps(run_pass(lib, spec["requests"], bool(spec.get("trace")))))
+    check = OutputCheck(spec["outputs"])
+    print(json.dumps(run_pass(lib, spec["requests"], bool(spec.get("trace")), check)))
     return 0
 
 

@@ -32,29 +32,36 @@ SERIES_ORDER = 200
 # two costs within about 4% while every order in the band still occurs.
 HIGH_LOW, HIGH_HIGH = 240, 300
 
-# Requests per cli_mix pass, by pool category.  Each category's pool is
-# sorted by input size and sampled one request per equal-width stratum, so
-# every pass has nearly the same size profile and its median and tail
-# latencies do not hinge on a few lucky draws.
+# Requests per cli_mix pass, by pool category.  The mix is chosen, not
+# measured: eulerlab has no usage record.  The rule is an equal share of 144
+# for each of the seven kinds of request the mix covers: count, enumerate,
+# map, bad input (malformed or wrong class), series, verify and selftest.
+# Within count, the series-coefficient and enumeration methods get a few (12
+# each) and the dynamic program the rest, 30 per class; within map, each of
+# the six bijections gets 24, d-lift's split over its two bits.  Each
+# category's pool is sorted by input size and sampled one request per
+# equal-width stratum, so every pass has nearly the same size profile and
+# its median and tail latencies do not hinge on a few lucky draws.
+SHARE = 144
 CLI_QUOTAS = {
-    "count_dp_A": 50,
-    "count_dp_B": 50,
-    "count_dp_C": 50,
-    "count_dp_D": 50,
-    "count_series": 20,
-    "count_enum": 20,
-    "enumerate": 100,
-    "map_glaisher": 72,
-    "map_glaisher-inv": 72,
-    "map_c2b": 72,
-    "map_b2c": 72,
-    "map_d-reduce": 72,
-    "map_d-lift0": 72,
-    "map_d-lift1": 72,
-    "bad": 80,
-    "series": 40,
-    "verify": 30,
-    "selftest": 10,
+    "count_dp_A": 30,
+    "count_dp_B": 30,
+    "count_dp_C": 30,
+    "count_dp_D": 30,
+    "count_series": 12,
+    "count_enum": 12,
+    "enumerate": SHARE,
+    "map_glaisher": 24,
+    "map_glaisher-inv": 24,
+    "map_c2b": 24,
+    "map_b2c": 24,
+    "map_d-reduce": 24,
+    "map_d-lift0": 12,
+    "map_d-lift1": 12,
+    "bad": SHARE,
+    "series": SHARE,
+    "verify": SHARE,
+    "selftest": SHARE,
 }
 
 SETUP_ARGV = ["count", "--class", "A", "--n", "1"]
@@ -65,7 +72,8 @@ def request_key(request) -> str:
 
 
 def load_reference(path: str = REFERENCE_PATH) -> dict:
-    """{"pools": {category: [argv, ...]}, "digests": {request key: digest}}."""
+    """{"pools": {category: [argv, ...]}, "digests": {request key: digest},
+    "outputs": {inner call key: value}} (outputs.py)."""
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
     digests = dict(stored["digests"])
@@ -73,7 +81,7 @@ def load_reference(path: str = REFERENCE_PATH) -> dict:
     for category, entries in stored["pools"].items():
         pools[category] = [argv for argv, _ in entries]
         digests.update((request_key(["cli", argv]), d) for argv, d in entries)
-    return {"pools": pools, "digests": digests}
+    return {"pools": pools, "digests": digests, "outputs": stored["outputs"]}
 
 
 def _series_base() -> list:
