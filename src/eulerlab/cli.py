@@ -37,6 +37,12 @@ from .series import (
 )
 
 MAX_CUTOFF = 100
+# Largest --order and --n accepted.  The slowest command at each limit takes
+# a few seconds on a 2-vCPU Xeon: verify --identity chain_C --order 2000 about
+# 7 s (O(N^2) series builds) and count --class C --n 1000 about 5 s (the O(n^3)
+# dynamic program); doubling the limits would cost about 4x and 8x.
+MAX_ORDER = 2000
+MAX_N = 1000
 
 BIJECTIONS = ("glaisher", "glaisher-inv", "d-reduce", "d-lift", "c2b", "b2c")
 
@@ -65,26 +71,25 @@ class RunConfig:
     criteria: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise UsageError("--order must be >= 1")
+        if not 0 < self.order <= MAX_ORDER:
+            raise UsageError(f"--order must be in 1..{MAX_ORDER}")
         if not 0 < self.cutoff <= MAX_CUTOFF:
             raise UsageError(f"--cutoff must be in 1..{MAX_CUTOFF}")
 
 
 def parse_n_range(text: str) -> tuple[int, ...]:
-    """'7' or inclusive '2..8'."""
+    """'7' or inclusive '2..8', with every value in 0..MAX_N."""
+    lo_text, sep, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            values = tuple(range(lo, hi + 1))
-        else:
-            values = (int(text),)
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
     except ValueError as exc:
         raise UsageError(f"bad n range {text!r}") from exc
-    if not values or values[0] < 0:
+    if hi < lo or lo < 0:
         raise UsageError(f"empty or negative n range {text!r}")
-    return values
+    if hi > MAX_N:
+        raise UsageError(f"--n must be at most {MAX_N}")
+    return tuple(range(lo, hi + 1))
 
 
 def _render(p: Partition, cls: PartitionClass | None) -> str:

@@ -95,6 +95,7 @@ def normalize(raw_parts: Iterable[int]) -> Partition:
 def parse_partition(text: str, allow_zeros: bool = False) -> Partition:
     """Parse 'a+b+c' with optional whitespace, parts in any order.
 
+    Each part is ASCII decimal, [0-9]+; other Unicode digits are rejected.
     Zero parts are accepted only with allow_zeros=True (the class-D form).
     """
     tokens = [t.strip() for t in text.strip().split("+")]
@@ -102,7 +103,7 @@ def parse_partition(text: str, allow_zeros: bool = False) -> Partition:
         raise PartitionParseError("empty partition string")
     values = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise PartitionParseError(f"bad part {tok!r} in {text!r}")
         v = int(tok)
         if v == 0 and not allow_zeros:

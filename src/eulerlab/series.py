@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .partitions import PartitionClass
 
@@ -201,14 +201,84 @@ def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> T
     return pochhammer(PochSpec(sign, offset, step, terms), order)
 
 
-def _add_shifted(target: list[int], coeffs: Sequence[int], shift: int) -> None:
-    limit = len(target)
-    for j, c in enumerate(coeffs):
-        k = j + shift
-        if k >= limit:
-            break
-        if c:
-            target[k] += c
+# The series builders below are sums of q-Pochhammer quotients.  Consecutive
+# summands differ by a few factors (1 - s*q^e), and multiplying or dividing a
+# coefficient list by one such factor is an O(N) in-place recurrence, so each
+# summand is derived from the previous one and a whole build costs O(N^2).
+# The sign convention is PochSpec's: s = -1 gives the factor (1 + q^e).
+
+
+def _mul_factor(c: list[int], sign: int, e: int) -> None:
+    """c *= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
+
+    c[j] -= sign*c[j-e] for j descending, that is from the old values.
+    """
+    if sign == 1:
+        c[e:] = [x - y for x, y in zip(c[e:], c)]
+    else:
+        c[e:] = [x + y for x, y in zip(c[e:], c)]
+
+
+def _div_factor(c: list[int], sign: int, e: int) -> None:
+    """c /= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
+
+    c[j] += sign*c[j-e] for j ascending, that is from the new values.
+    """
+    if sign == 1:
+        for j in range(e, len(c)):
+            c[j] += c[j - e]
+    else:
+        for j in range(e, len(c)):
+            c[j] -= c[j - e]
+
+
+def _mul_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
+    """c times the infinite product of (1 - sign*q^(offset + step*i)), in place."""
+    for e in range(offset, len(c), step):
+        _mul_factor(c, sign, e)
+    return c
+
+
+def _div_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
+    """c divided by the infinite product of (1 - sign*q^(offset + step*i)), in place."""
+    for e in range(offset, len(c), step):
+        _div_factor(c, sign, e)
+    return c
+
+
+def _unit(order: int) -> list[int]:
+    return [1] + [0] * order
+
+
+def _add_scaled(target: list[int], coeffs: Sequence[int], shift: int, factor: int = 1) -> None:
+    """target += factor * q^shift * coeffs, truncated at len(target)."""
+    end = shift + len(coeffs)
+    target[shift:end] = [x + factor * y for x, y in zip(target[shift:end], coeffs)]
+
+
+def _sum_by_ratio(
+    order: int,
+    first: list[int],
+    gap: int,
+    step: Callable[[list[int], int], None],
+    with_first: bool = True,
+) -> list[int]:
+    """Coefficients 0..order of sum_{n >= 0} q^(gap*n) T_n.
+
+    T_0 is `first`, which is consumed; step(T, n) turns T_{n-1} into T_n in
+    place by the term ratio T_n / T_{n-1}.  T_n is carried only to relative
+    order order - gap*n, so later terms are shorter.  with_first=False leaves
+    T_0 out of the sum.
+    """
+    out = first[:] if with_first else [0] * (order + 1)
+    term = first
+    n = 1
+    while gap * n <= order:
+        del term[order - gap * n + 1 :]
+        step(term, n)
+        _add_scaled(out, term, gap * n)
+        n += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,16 +325,52 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     if cls is PartitionClass.B:
         return _poch(+1, 1, 2, None, order).reciprocal()
     if cls is PartitionClass.C:
-        return gf_c_variant("sum_over_largest", order)
+        return TruncatedSeries(_c_sum_over_largest(order, True), order)
     if cls is PartitionClass.D:
-        out = [0] * (order + 1)
-        m = 0
-        while 2 * m <= order:
-            tail = _poch(-1, m + 1, 1, None, order - 2 * m)
-            _add_shifted(out, tail.coeffs, 2 * m)
-            m += 1
-        return TruncatedSeries(out, order)
+        # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
+        first = list(_poch(-1, 1, 1, None, order).coeffs)
+        return TruncatedSeries(
+            _sum_by_ratio(order, first, 2, lambda t, m: _div_factor(t, -1, m)), order
+        )
     raise TypeError(f"not a partition class: {cls!r}")
+
+
+def _c_sum_over_largest(order: int, include_constant: bool) -> list[int]:
+    # sum_n q^(2n) (-q;q)_n / (q^(n+1);q)_n;
+    # T_n / T_(n-1) = q^2 (1+q^n)(1-q^n) / ((1-q^(2n-1))(1-q^(2n)))
+    def step(t: list[int], n: int) -> None:
+        _mul_factor(t, -1, n)
+        _mul_factor(t, +1, n)
+        _div_factor(t, +1, 2 * n - 1)
+        _div_factor(t, +1, 2 * n)
+
+    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
+
+
+def _c_even_poch_ratio(order: int, include_constant: bool) -> list[int]:
+    # sum_n q^(2n) (q^2;q^2)_n / (q;q)_(2n);
+    # T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n)))
+    def step(t: list[int], n: int) -> None:
+        _mul_factor(t, +1, 2 * n)
+        _div_factor(t, +1, 2 * n - 1)
+        _div_factor(t, +1, 2 * n)
+
+    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
+
+
+def _c_odd_poch_ratio(order: int, include_constant: bool) -> list[int]:
+    # sum_n q^(2n) / (q;q^2)_n;  T_n / T_(n-1) = q^2 / (1-q^(2n-1))
+    def step(t: list[int], n: int) -> None:
+        _div_factor(t, +1, 2 * n - 1)
+
+    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
+
+
+_C_FORM_BUILDERS = {
+    "sum_over_largest": _c_sum_over_largest,
+    "even_poch_ratio": _c_even_poch_ratio,
+    "odd_poch_ratio": _c_odd_poch_ratio,
+}
 
 
 def gf_c_variant(form: str, order: int, include_constant: bool = True) -> TruncatedSeries:
@@ -277,23 +383,93 @@ def gf_c_variant(form: str, order: int, include_constant: bool = True) -> Trunca
     """
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
-    out = [0] * (order + 1)
-    if include_constant:
-        out[0] = 1
-    n = 1
-    while 2 * n <= order:
-        m = order - 2 * n
-        if form == "sum_over_largest":
-            num = _poch(-1, 1, 1, n, m)
-            term = num * _poch(+1, n + 1, 1, n, m).reciprocal()
-        elif form == "even_poch_ratio":
-            num = _poch(+1, 2, 2, n, m)
-            term = num * _poch(+1, 1, 1, 2 * n, m).reciprocal()
-        else:  # odd_poch_ratio
-            term = _poch(+1, 1, 2, n, m).reciprocal()
-        _add_shifted(out, term.coeffs, 2 * n)
-        n += 1
-    return TruncatedSeries(out, order)
+    return TruncatedSeries(_C_FORM_BUILDERS[form](order, include_constant), order)
+
+
+def _inner_m_sum(order: int, gap: int) -> list[int]:
+    # sum_m q^(gap*m) / (q^2;q^2)_m;  T_m / T_(m-1) = q^gap / (1-q^(2m))
+    return _sum_by_ratio(order, _unit(order), gap, lambda t, m: _div_factor(t, +1, 2 * m))
+
+
+def _stage_factored(order: int) -> list[int]:
+    # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf ),
+    # T_0 = 1/(q^2;q^2)_inf; T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n))),
+    # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.
+    def step(t: list[int], n: int) -> None:
+        _mul_factor(t, +1, 2 * n)
+        _div_factor(t, +1, 2 * n - 1)
+        _div_factor(t, +1, 2 * n)
+
+    first = _div_poch_inf(_unit(order), +1, 2, 2)
+    acc = _mul_poch_inf(_sum_by_ratio(order, first, 2, step), +1, 2, 2)
+    return [2 * x for x in acc]
+
+
+def _stage_double_sum(order: int) -> list[int]:
+    # 2 * (q^2;q^2)_inf * sum_{n,m} q^(2n+2nm+2m) / ( (q;q)_{2n} (q^2;q^2)_m ),
+    # grouped by n as sum_n q^(2n) I_n / (q;q)_{2n} with the inner m-sum
+    # I_n = sum_m q^(m(2n+2)) / (q^2;q^2)_m, folded by Horner from the top n:
+    # H_n = I_n + q^2 H_(n+1) / ((1-q^(2n+1))(1-q^(2n+2))).
+    h: list[int] = []
+    for n in range(order // 2, -1, -1):
+        mo = order - 2 * n
+        h = ([0, 0] + h)[: mo + 1]
+        _div_factor(h, +1, 2 * n + 1)
+        _div_factor(h, +1, 2 * n + 2)
+        _add_scaled(h, _inner_m_sum(mo, 2 * n + 2), 0)
+    return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
+
+
+def _stage_split_sum(order: int) -> list[int]:
+    # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):
+    # the doubled halving trick; odd n carry weight 0 and contribute nothing.
+    # Grouped by n with J_n = sum_m q^(m(n+2)) / (q^2;q^2)_m and folded by
+    # Horner from the top n: H_n = (1 + (-1)^n) J_n + q H_(n+1) / (1-q^(n+1)).
+    h: list[int] = []
+    for n in range(order, -1, -1):
+        mo = order - n
+        h = ([0] + h)[: mo + 1]
+        _div_factor(h, +1, n + 1)
+        weight = 1 + (-1) ** n
+        if weight:
+            _add_scaled(h, _inner_m_sum(mo, n + 2), 0, weight)
+    return _mul_poch_inf(h, +1, 2, 2)
+
+
+def _stage_bracket_reciprocals(order: int) -> list[int]:
+    # (q^2;q^2)_inf * sum_m q^(2m)/(q^2;q^2)_m *
+    #   [ 1/(q^(m+1);q)_inf + 1/(-q^(m+1);q)_inf ],
+    # one sum per bracket half: U_m = U_(m-1) (1-q^m) from U_0 = 1/(q;q)_inf
+    # and V_m = V_(m-1) (1+q^m) from V_0 = 1/(-q;q)_inf, each summand also
+    # taking the 1/(1-q^(2m)) of 1/(q^2;q^2)_m and the q^2 of q^(2m).
+    def halves(sign: int) -> list[int]:
+        def step(t: list[int], m: int) -> None:
+            _mul_factor(t, sign, m)
+            _div_factor(t, +1, 2 * m)
+
+        return _sum_by_ratio(order, _div_poch_inf(_unit(order), sign, 1, 1), 2, step)
+
+    acc = halves(+1)
+    _add_scaled(acc, halves(-1), 0)
+    return _mul_poch_inf(acc, +1, 2, 2)
+
+
+def _stage_final(order: int) -> list[int]:
+    # sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
+    out = list(gf_class(PartitionClass.D, order).coeffs)
+    out[0] += 1
+    if order >= 1:
+        out[1] -= 1
+    return out
+
+
+_CHAIN_STAGE_BUILDERS = {
+    "factored": _stage_factored,
+    "double_sum": _stage_double_sum,
+    "split_sum": _stage_split_sum,
+    "bracket_reciprocals": _stage_bracket_reciprocals,
+    "final": _stage_final,
+}
 
 
 def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
@@ -305,81 +481,17 @@ def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     """
     if stage not in CHAIN_STAGES:
         raise ValueError(f"unknown chain stage: {stage!r}")
+    return TruncatedSeries(_CHAIN_STAGE_BUILDERS[stage](order), order)
 
-    if stage == "factored":
-        # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf )
-        acc = [0] * (order + 1)
-        n = 0
-        while 2 * n <= order:
-            m = order - 2 * n
-            term = _poch(+1, 1, 1, 2 * n, m).reciprocal() * _poch(
-                +1, 2 * n + 2, 2, None, m
-            ).reciprocal()
-            _add_shifted(acc, term.coeffs, 2 * n)
-            n += 1
-        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
 
-    if stage == "double_sum":
-        # 2 * (q^2;q^2)_inf * sum_{n,m} q^(2n+2nm+2m) / ( (q;q)_{2n} (q^2;q^2)_m ),
-        # grouped by n; summands vanish once 2n + m(2n+2) passes the order.
-        acc = [0] * (order + 1)
-        n = 0
-        while 2 * n <= order:
-            mo = order - 2 * n
-            inner = [0] * (mo + 1)
-            m = 0
-            while m * (2 * n + 2) <= mo:
-                term = _poch(+1, 2, 2, m, mo - m * (2 * n + 2)).reciprocal()
-                _add_shifted(inner, term.coeffs, m * (2 * n + 2))
-                m += 1
-            grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, 2 * n, mo).reciprocal()
-            _add_shifted(acc, grouped.coeffs, 2 * n)
-            n += 1
-        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
+def _euler_rhs(c: int, sign: int, order: int) -> list[int]:
+    # sum_m t^m / (q;q)_m at t = sign*q^c;  T_m / T_(m-1) = sign*q^c / (1-q^m)
+    def step(t: list[int], m: int) -> None:
+        _div_factor(t, +1, m)
+        if sign == -1:
+            t[:] = [-x for x in t]
 
-    if stage == "split_sum":
-        # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):
-        # the doubled halving trick; odd n carry weight 0 and contribute nothing.
-        acc = [0] * (order + 1)
-        n = 0
-        while n <= order:
-            weight = 1 + (-1) ** n
-            if weight:
-                mo = order - n
-                inner = [0] * (mo + 1)
-                m = 0
-                while m * (n + 2) <= mo:
-                    term = _poch(+1, 2, 2, m, mo - m * (n + 2)).reciprocal()
-                    _add_shifted(inner, term.coeffs, m * (n + 2))
-                    m += 1
-                grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, n, mo).reciprocal()
-                _add_shifted(acc, [weight * c for c in grouped.coeffs], n)
-            n += 1
-        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
-
-    if stage == "bracket_reciprocals":
-        # (q^2;q^2)_inf * sum_m q^(2m)/(q^2;q^2)_m *
-        #   [ 1/(q^(m+1);q)_inf + 1/(-q^(m+1);q)_inf ]
-        acc = [0] * (order + 1)
-        m = 0
-        while 2 * m <= order:
-            mo = order - 2 * m
-            bracket = (
-                _poch(+1, m + 1, 1, None, mo).reciprocal()
-                + _poch(-1, m + 1, 1, None, mo).reciprocal()
-            )
-            term = bracket * _poch(+1, 2, 2, m, mo).reciprocal()
-            _add_shifted(acc, term.coeffs, 2 * m)
-            m += 1
-        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
-
-    # final: sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
-    d = gf_class(PartitionClass.D, order)
-    out = list(d.coeffs)
-    out[0] += 1
-    if order >= 1:
-        out[1] -= 1
-    return TruncatedSeries(out, order)
+    return _sum_by_ratio(order, _unit(order), c, step)
 
 
 def euler_expansion_check(c: int, order: int) -> VerificationReport:
@@ -394,16 +506,7 @@ def euler_expansion_check(c: int, order: int) -> VerificationReport:
     name = f"euler_expansion_c{c}"
     for label, sign in (("t=q^c", +1), ("t=-q^c", -1)):
         lhs = _poch(+1 if sign == 1 else -1, c, 1, None, order).reciprocal()
-        rhs = [0] * (order + 1)
-        m = 0
-        while c * m <= order:
-            inv = _poch(+1, 1, 1, m, order - c * m).reciprocal()
-            if sign == -1 and m % 2 == 1:
-                _add_shifted(rhs, [-x for x in inv.coeffs], c * m)
-            else:
-                _add_shifted(rhs, inv.coeffs, c * m)
-            m += 1
-        bad = _first_mismatch(lhs.coeffs, rhs)
+        bad = _first_mismatch(lhs.coeffs, _euler_rhs(c, sign, order))
         if bad:
             n, x, y = bad
             return VerificationReport(

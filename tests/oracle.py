@@ -1,14 +1,23 @@
-"""Independent brute-force oracle used by the tests.
+"""Independent reference routes used by the tests.
 
-Deliberately shares no code with the package: partitions are generated by a
-different recursion and the class predicates are re-derived from the
-definitions, so agreement with eulerlab is a two-route check.
+The brute-force half shares no code with the package: partitions are
+generated by a different recursion and the class predicates are re-derived
+from the definitions, so agreement with eulerlab is a two-route check.
+
+The slow-series half keeps the original O(N^3) series builders, which rebuild
+every summand from scratch as a product, a reciprocal or a series product.
+They use only the generic TruncatedSeries ring and pochhammer of
+eulerlab.series (tested on their own), not the in-place term-ratio kernel
+that the package builders use, so the kernel is checked against them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Sequence
+
+from eulerlab.partitions import PartitionClass
+from eulerlab.series import C_FORMS, CHAIN_STAGES, PochSpec, TruncatedSeries, pochhammer
 
 
 def all_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -64,3 +73,154 @@ def brute_members(n: int, label: str) -> list[tuple[int, ...]]:
 
 def brute_count(n: int, label: str) -> int:
     return len(brute_members(n, label))
+
+
+# ------------------------------------------------------------ slow series
+
+
+def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> TruncatedSeries:
+    return pochhammer(PochSpec(sign, offset, step, terms), order)
+
+
+def _add_shifted(target: list[int], coeffs: Sequence[int], shift: int) -> None:
+    limit = len(target)
+    for j, c in enumerate(coeffs):
+        k = j + shift
+        if k >= limit:
+            break
+        if c:
+            target[k] += c
+
+
+def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
+    if cls is PartitionClass.A:
+        return _poch(-1, 1, 1, None, order)
+    if cls is PartitionClass.B:
+        return _poch(+1, 1, 2, None, order).reciprocal()
+    if cls is PartitionClass.C:
+        return slow_c_variant("sum_over_largest", order)
+    if cls is PartitionClass.D:
+        out = [0] * (order + 1)
+        m = 0
+        while 2 * m <= order:
+            tail = _poch(-1, m + 1, 1, None, order - 2 * m)
+            _add_shifted(out, tail.coeffs, 2 * m)
+            m += 1
+        return TruncatedSeries(out, order)
+    raise TypeError(f"not a partition class: {cls!r}")
+
+
+def slow_c_variant(form: str, order: int, include_constant: bool = True) -> TruncatedSeries:
+    if form not in C_FORMS:
+        raise ValueError(f"unknown C form: {form!r}")
+    out = [0] * (order + 1)
+    if include_constant:
+        out[0] = 1
+    n = 1
+    while 2 * n <= order:
+        m = order - 2 * n
+        if form == "sum_over_largest":
+            num = _poch(-1, 1, 1, n, m)
+            term = num * _poch(+1, n + 1, 1, n, m).reciprocal()
+        elif form == "even_poch_ratio":
+            num = _poch(+1, 2, 2, n, m)
+            term = num * _poch(+1, 1, 1, 2 * n, m).reciprocal()
+        else:  # odd_poch_ratio
+            term = _poch(+1, 1, 2, n, m).reciprocal()
+        _add_shifted(out, term.coeffs, 2 * n)
+        n += 1
+    return TruncatedSeries(out, order)
+
+
+def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
+    if stage not in CHAIN_STAGES:
+        raise ValueError(f"unknown chain stage: {stage!r}")
+
+    if stage == "factored":
+        # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf )
+        acc = [0] * (order + 1)
+        n = 0
+        while 2 * n <= order:
+            m = order - 2 * n
+            term = _poch(+1, 1, 1, 2 * n, m).reciprocal() * _poch(
+                +1, 2 * n + 2, 2, None, m
+            ).reciprocal()
+            _add_shifted(acc, term.coeffs, 2 * n)
+            n += 1
+        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
+
+    if stage == "double_sum":
+        # 2 * (q^2;q^2)_inf * sum_{n,m} q^(2n+2nm+2m) / ( (q;q)_{2n} (q^2;q^2)_m ),
+        # grouped by n; summands vanish once 2n + m(2n+2) passes the order.
+        acc = [0] * (order + 1)
+        n = 0
+        while 2 * n <= order:
+            mo = order - 2 * n
+            inner = [0] * (mo + 1)
+            m = 0
+            while m * (2 * n + 2) <= mo:
+                term = _poch(+1, 2, 2, m, mo - m * (2 * n + 2)).reciprocal()
+                _add_shifted(inner, term.coeffs, m * (2 * n + 2))
+                m += 1
+            grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, 2 * n, mo).reciprocal()
+            _add_shifted(acc, grouped.coeffs, 2 * n)
+            n += 1
+        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
+
+    if stage == "split_sum":
+        # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):
+        # the doubled halving trick; odd n carry weight 0 and contribute nothing.
+        acc = [0] * (order + 1)
+        n = 0
+        while n <= order:
+            weight = 1 + (-1) ** n
+            if weight:
+                mo = order - n
+                inner = [0] * (mo + 1)
+                m = 0
+                while m * (n + 2) <= mo:
+                    term = _poch(+1, 2, 2, m, mo - m * (n + 2)).reciprocal()
+                    _add_shifted(inner, term.coeffs, m * (n + 2))
+                    m += 1
+                grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, n, mo).reciprocal()
+                _add_shifted(acc, [weight * c for c in grouped.coeffs], n)
+            n += 1
+        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
+
+    if stage == "bracket_reciprocals":
+        # (q^2;q^2)_inf * sum_m q^(2m)/(q^2;q^2)_m *
+        #   [ 1/(q^(m+1);q)_inf + 1/(-q^(m+1);q)_inf ]
+        acc = [0] * (order + 1)
+        m = 0
+        while 2 * m <= order:
+            mo = order - 2 * m
+            bracket = (
+                _poch(+1, m + 1, 1, None, mo).reciprocal()
+                + _poch(-1, m + 1, 1, None, mo).reciprocal()
+            )
+            term = bracket * _poch(+1, 2, 2, m, mo).reciprocal()
+            _add_shifted(acc, term.coeffs, 2 * m)
+            m += 1
+        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
+
+    # final: sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
+    d = slow_gf_class(PartitionClass.D, order)
+    out = list(d.coeffs)
+    out[0] += 1
+    if order >= 1:
+        out[1] -= 1
+    return TruncatedSeries(out, order)
+
+
+def slow_euler_rhs(c: int, sign: int, order: int) -> list[int]:
+    """sum_m t^m/(q;q)_m at t = sign*q^c, coefficients 0..order."""
+    rhs = [0] * (order + 1)
+    m = 0
+    while c * m <= order:
+        inv = _poch(+1, 1, 1, m, order - c * m).reciprocal()
+        if sign == -1 and m % 2 == 1:
+            _add_shifted(rhs, [-x for x in inv.coeffs], c * m)
+        else:
+            _add_shifted(rhs, inv.coeffs, c * m)
+        m += 1
+    return rhs

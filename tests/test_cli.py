@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eulerlab.cli import main, parse_n_range, record_to_plain
+from eulerlab.cli import MAX_N, MAX_ORDER, main, parse_n_range, record_to_plain
 
 
 def run(capsys, *argv):
@@ -44,6 +44,17 @@ def test_count_bad_range(capsys):
 def test_parse_n_range():
     assert parse_n_range("7") == (7,)
     assert parse_n_range("2..5") == (2, 3, 4, 5)
+
+
+def test_count_n_limit(capsys):
+    code, out, _ = run(capsys, "count", "--class", "A", "--n", f"{MAX_N - 1}..{MAX_N}")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == [str(MAX_N - 1), str(MAX_N)]
+    for n in (str(MAX_N + 1), f"0..{MAX_N + 1}", "0..1000000000"):
+        code, out, err = run(capsys, "count", "--class", "A", "--n", n)
+        assert code == 2, n
+        assert out == ""
+        assert f"at most {MAX_N}" in err
 
 
 # ------------------------------------------------------------- enumerate
@@ -134,6 +145,14 @@ def test_map_parse_error_exit_2(capsys):
     assert "bad part" in err
 
 
+@pytest.mark.parametrize("text", ["\u0663+1", "\u00b2", "3+\uff11"])
+def test_map_non_ascii_digits_exit_2(capsys, text):
+    code, out, err = run(capsys, "map", "--bijection", "glaisher", text)
+    assert code == 2
+    assert out == ""
+    assert "bad part" in err
+
+
 def test_map_zero_parts_only_for_d_input(capsys):
     code, _, _ = run(capsys, "map", "--bijection", "glaisher", "0+0+6")
     assert code == 2
@@ -173,6 +192,20 @@ def test_verify_unknown_identity_exit_2(capsys):
 def test_verify_bad_order_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "--identity", "euler_AB", "--order", "0")
     assert code == 2
+
+
+def test_order_limit(capsys):
+    code, out, _ = run(capsys, "series", "--class", "A", "--order", str(MAX_ORDER))
+    assert code == 0
+    assert len(out.splitlines()) == MAX_ORDER + 1
+    for argv in (
+        ("series", "--class", "A"),
+        ("verify", "--identity", "thm_all"),
+    ):
+        code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
+        assert code == 2, argv
+        assert out == ""
+        assert f"1..{MAX_ORDER}" in err
 
 
 # ---------------------------------------------------------------- series

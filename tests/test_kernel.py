@@ -1,0 +1,97 @@
+"""The O(N^2) series kernel against the slow reference route in oracle.py.
+
+The package builders derive each summand from the previous one by in-place
+multiplication and division by factors (1 - s*q^e); oracle.py keeps the
+original builders that rebuild every summand from scratch.  Both must agree
+on every coefficient.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracle
+from eulerlab.partitions import PartitionClass
+from eulerlab.series import (
+    C_FORMS,
+    CHAIN_STAGES,
+    TruncatedSeries,
+    _div_factor,
+    _euler_rhs,
+    _mul_factor,
+    gf_c_chain_stage,
+    gf_c_variant,
+    gf_class,
+)
+
+ORDERS = list(range(1, 41)) + [200, 270]
+
+
+# ------------------------------------------------------------- primitives
+
+coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=15)
+exponents = st.integers(1, 18)
+signs = st.sampled_from([1, -1])
+
+
+def _factor(order: int, sign: int, e: int) -> TruncatedSeries:
+    """1 - sign*q^e, truncated at order."""
+    return TruncatedSeries.one(order) - TruncatedSeries.monomial(order, e, sign)
+
+
+@given(coeff_lists, exponents, signs)
+def test_mul_factor_matches_ring_product(coeffs, e, sign):
+    c = list(coeffs)
+    _mul_factor(c, sign, e)
+    expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e)
+    assert TruncatedSeries(c) == expected
+
+
+@given(coeff_lists, exponents, signs)
+def test_div_factor_matches_ring_reciprocal(coeffs, e, sign):
+    c = list(coeffs)
+    _div_factor(c, sign, e)
+    expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e).reciprocal()
+    assert TruncatedSeries(c) == expected
+
+
+@given(coeff_lists, exponents, signs)
+def test_mul_then_div_is_identity(coeffs, e, sign):
+    c = list(coeffs)
+    _mul_factor(c, sign, e)
+    _div_factor(c, sign, e)
+    assert c == coeffs
+    _div_factor(c, sign, e)
+    _mul_factor(c, sign, e)
+    assert c == coeffs
+
+
+# ---------------------------------------------------- differential checks
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_gf_class_matches_reference(order):
+    for cls in PartitionClass:
+        assert gf_class(cls, order) == oracle.slow_gf_class(cls, order), cls
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_c_forms_match_reference(order):
+    for form in C_FORMS:
+        for include_constant in (True, False):
+            fast = gf_c_variant(form, order, include_constant)
+            slow = oracle.slow_c_variant(form, order, include_constant)
+            assert fast == slow, (form, include_constant)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_chain_stages_match_reference(order):
+    for stage in CHAIN_STAGES:
+        assert gf_c_chain_stage(stage, order) == oracle.slow_chain_stage(stage, order), stage
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_euler_rhs_matches_reference(order):
+    for c in range(1, 6):
+        for sign in (1, -1):
+            assert _euler_rhs(c, sign, order) == oracle.slow_euler_rhs(c, sign, order), (c, sign)

@@ -264,6 +264,9 @@ def test_parse_grammar():
         parse_partition("3++2")
     with pytest.raises(PartitionParseError):
         parse_partition("-3+2")
+    for text in ("\u0663+1", "\u00b2", "3+\uff11"):  # Arabic-Indic 3, superscript 2, fullwidth 1
+        with pytest.raises(PartitionParseError):
+            parse_partition(text)
 
 
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=10))
