@@ -77,14 +77,30 @@ class RunConfig:
             raise UsageError(f"--cutoff must be in 1..{MAX_CUTOFF}")
 
 
+def _is_ascii_int(text: str) -> bool:
+    """An optional '-' and ASCII digits [0-9]+, as in the partition grammar.
+
+    int() alone would also take other Unicode digits, '_' and surrounding
+    spaces; the sign is kept so that negative values reach the range checks.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _int_option(text: str) -> int:
+    """argparse type of the integer options --order, --cutoff and --bit."""
+    if not _is_ascii_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def parse_n_range(text: str) -> tuple[int, ...]:
     """'7' or inclusive '2..8', with every value in 0..MAX_N."""
     lo_text, sep, hi_text = text.partition("..")
-    try:
-        lo = int(lo_text)
-        hi = int(hi_text) if sep else lo
-    except ValueError as exc:
-        raise UsageError(f"bad n range {text!r}") from exc
+    if not (_is_ascii_int(lo_text) and (_is_ascii_int(hi_text) or not sep)):
+        raise UsageError(f"bad n range {text!r}")
+    lo = int(lo_text)
+    hi = int(hi_text) if sep else lo
     if hi < lo or lo < 0:
         raise UsageError(f"empty or negative n range {text!r}")
     if hi > MAX_N:
@@ -247,24 +263,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--class", dest="cls", choices="ABCD", required=True)
     p_count.add_argument("--n", required=True, help="single value or inclusive range a..b")
     p_count.add_argument("--method", choices=COUNT_METHODS, default="dynamic-program")
-    p_count.add_argument("--cutoff", type=int, default=DEFAULT_ENUMERATION_CUTOFF)
+    p_count.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
     add_common(p_count)
 
     p_enum = sub.add_parser("enumerate", help="list partitions of one class")
     p_enum.add_argument("--class", dest="cls", choices="ABCD", required=True)
     p_enum.add_argument("--n", required=True, help="single weight")
-    p_enum.add_argument("--cutoff", type=int, default=DEFAULT_ENUMERATION_CUTOFF)
+    p_enum.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
     add_common(p_enum)
 
     p_map = sub.add_parser("map", help="apply one of the class maps")
     p_map.add_argument("--bijection", choices=BIJECTIONS, required=True)
-    p_map.add_argument("--bit", type=int, choices=(0, 1), default=None)
+    p_map.add_argument("--bit", type=_int_option, choices=(0, 1), default=None)
     p_map.add_argument("partition", help="partition string like 4+2+1")
     add_common(p_map)
 
     p_verify = sub.add_parser("verify", help="run one identity check")
     p_verify.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
-    p_verify.add_argument("--order", type=int, default=200)
+    p_verify.add_argument("--order", type=_int_option, default=200)
     add_common(p_verify)
 
     p_series = sub.add_parser("series", help="dump a generating function as TSV")
@@ -272,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--class", dest="cls", choices="ABCD")
     group.add_argument("--form", choices=C_FORMS)
     group.add_argument("--stage", choices=CHAIN_STAGES)
-    p_series.add_argument("--order", type=int, default=200)
+    p_series.add_argument("--order", type=_int_option, default=200)
     add_common(p_series)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")

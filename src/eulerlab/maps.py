@@ -20,50 +20,6 @@ from .partitions import (
 )
 
 
-def _split_power_of_two(value: int) -> tuple[int, int]:
-    """value = base * 2**power with base odd; returns (base, power)."""
-    power = (value & -value).bit_length() - 1
-    return value >> power, power
-
-
-@dataclass(frozen=True)
-class EvenPartFactorization:
-    """A part value base * 2**power occurring `multiplicity` times.
-
-    digits holds the binary expansion of the multiplicity, least significant
-    first; it drives the merge direction of Glaisher's map.
-    """
-
-    base: int
-    power: int
-    multiplicity: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 1 or self.base % 2 == 0:
-            raise ValueError("base must be a positive odd integer")
-        if self.power < 0:
-            raise ValueError("power must be non-negative")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if sum(d << j for j, d in enumerate(self.digits)) != self.multiplicity:
-            raise ValueError("digits are not the binary expansion of the multiplicity")
-
-    @classmethod
-    def of(cls, part: int, multiplicity: int) -> "EvenPartFactorization":
-        base, power = _split_power_of_two(part)
-        digits = tuple((multiplicity >> j) & 1 for j in range(multiplicity.bit_length()))
-        return cls(base, power, multiplicity, digits)
-
-    def odd_copies(self) -> int:
-        """How many copies of `base` the full split produces."""
-        return self.multiplicity << self.power
-
-    def merged_distinct_parts(self) -> list[int]:
-        """The distinct parts base * 2**(power+j), one per set digit."""
-        return [self.base << (self.power + j) for j, d in enumerate(self.digits) if d]
-
-
 def glaisher_to_odd(p: Partition) -> Partition:
     """Split every even part 2**k * a into 2**k copies of the odd part a.
 
@@ -71,9 +27,9 @@ def glaisher_to_odd(p: Partition) -> Partition:
     parts in the input are fine.
     """
     out: list[int] = []
-    for part, mult in p.multiplicities().items():
-        fac = EvenPartFactorization.of(part, mult)
-        out.extend([fac.base] * fac.odd_copies())
+    for part in p.parts:
+        power = (part & -part).bit_length() - 1
+        out += [part >> power] * (1 << power)
     return normalize(out)
 
 
@@ -87,7 +43,11 @@ def glaisher_to_distinct(p: Partition) -> Partition:
     for part, mult in p.multiplicities().items():
         if part % 2 == 0:
             raise ClassMembershipError(f"part {part} is even; expected odd parts only")
-        out.extend(EvenPartFactorization.of(part, mult).merged_distinct_parts())
+        while mult:
+            if mult & 1:
+                out.append(part)
+            part <<= 1
+            mult >>= 1
     return normalize(out)
 
 

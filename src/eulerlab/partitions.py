@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_CUTOFF = 60
@@ -143,82 +144,114 @@ def is_in_class(p: Partition, cls: PartitionClass) -> bool:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def _gen_distinct(n: int, floor: int = 1) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into distinct parts, each >= floor, lex decreasing."""
-    buf: list[int] = []
+def _gen_distinct(
+    n: int, floor: int = 1, tail: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into distinct parts, each >= floor, lex decreasing.
 
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(buf)
+    Each listed tuple is followed by `tail`.  One flat depth-first loop over
+    `parts`: try candidates from the largest down while the staircase
+    floor + ... + cand still covers what remains; a candidate equal to what
+    remains completes a partition, a smaller one is pushed, and a failed
+    test pops the last part and goes on with the next smaller one.
+    """
+    if n == 0:
+        yield tail
+        return
+    below_floor = (floor - 1) * floor // 2
+    parts: list[int] = []
+    remaining = cand = n
+    while True:
+        if cand >= floor and cand * (cand + 1) // 2 - below_floor >= remaining:
+            if cand == remaining:
+                yield (*parts, cand, *tail)
+                cand -= 1
+                continue
+            parts.append(cand)
+            remaining -= cand
+            cand -= 1
+            if cand > remaining:
+                cand = remaining
+            continue
+        if not parts:
             return
-        below_floor = (floor - 1) * floor // 2
-        for first in range(min(cap, remaining), floor - 1, -1):
-            if first * (first + 1) // 2 - below_floor < remaining:
-                break
-            buf.append(first)
-            yield from rec(remaining - first, first - 1)
-            buf.pop()
-
-    return rec(n, n)
+        last = parts.pop()
+        remaining += last
+        cand = last - 1
 
 
 def _gen_odd(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into odd parts, lex decreasing."""
-    buf: list[int] = []
+    """Partitions of n into odd parts, lex decreasing.
 
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(buf)
+    Every odd prefix completes with 1s, so there are no dead ends: the loop
+    fills greedily, yields, drops the trailing run of 1s in one step, and
+    refills from the last part above 1, lowered by 2.
+    """
+    parts: list[int] = []
+    size = n  # largest part the next fill may use
+    rest = n  # weight the next fill must place
+    while True:
+        while rest:
+            if size > rest:
+                size = rest
+            if size % 2 == 0:
+                size -= 1
+            if size == 1:
+                parts += [1] * rest
+                break
+            parts += [size] * (rest // size)
+            rest %= size
+        yield tuple(parts)
+        ones = rest if size == 1 else 0
+        if ones == len(parts):
             return
-        first = min(cap, remaining)
-        if first % 2 == 0:
-            first -= 1
-        for part in range(first, 0, -2):
-            buf.append(part)
-            yield from rec(remaining - part, part)
-            buf.pop()
-
-    return rec(n, n)
+        if ones:
+            del parts[-ones:]
+        last = parts.pop()
+        rest = ones + last
+        size = last - 2
 
 
 def _gen_class_c(n: int) -> Iterator[tuple[int, ...]]:
-    """Class-C partitions of n: largest part 2N even, parts <= N distinct."""
-    buf: list[int] = []
+    """Class-C partitions of n: largest part 2N even, parts <= N distinct.
 
-    def rec(remaining: int, cap: int, half: int) -> Iterator[tuple[int, ...]]:
+    For each largest part, one flat depth-first loop like _gen_distinct's,
+    except that a part above N may repeat and is tried without a bound test.
+    """
+    for largest in range(2 * (n // 2), 1, -2):
+        half = largest // 2
+        parts = [largest]
+        remaining = n - largest
         if remaining == 0:
-            yield tuple(buf)
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            if first > half:
-                buf.append(first)
-                yield from rec(remaining - first, first, half)
-                buf.pop()
-            else:
-                if first * (first + 1) // 2 < remaining:
-                    break
-                buf.append(first)
-                yield from rec(remaining - first, first - 1, half)
-                buf.pop()
-
-    def outer() -> Iterator[tuple[int, ...]]:
-        for largest in range(2 * (n // 2), 1, -2):
-            buf.append(largest)
-            yield from rec(n - largest, largest, largest // 2)
-            buf.pop()
-
-    return outer()
+            yield (largest,)
+            continue
+        cand = min(largest, remaining)
+        while True:
+            if cand > half or cand * (cand + 1) // 2 >= remaining:
+                if cand == remaining:
+                    yield (*parts, cand)
+                    cand -= 1
+                    continue
+                parts.append(cand)
+                remaining -= cand
+                if cand <= half:  # parts <= N may not repeat
+                    cand -= 1
+                if cand > remaining:
+                    cand = remaining
+                continue
+            if len(parts) == 1:
+                break
+            last = parts.pop()
+            remaining += last
+            cand = last - 1
 
 
 def _gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
     """Class-D partitions of n: distinct parts, or the smallest part doubled."""
-    if n == 0:
-        yield ()
-        return
-    yield from _gen_distinct(n)
-    for s in range(1, n // 2 + 1):
-        for rest in _gen_distinct(n - 2 * s, floor=s + 1):
-            yield rest + (s, s)
+    return chain(
+        _gen_distinct(n),
+        *(_gen_distinct(n - 2 * s, s + 1, (s, s)) for s in range(1, n // 2 + 1)),
+    )
 
 
 _GENERATORS = {

@@ -1,10 +1,13 @@
 """Independent reference routes used by the tests.
 
-The brute-force half shares no code with the package: partitions are
+The brute-force part shares no code with the package: partitions are
 generated by a different recursion and the class predicates are re-derived
 from the definitions, so agreement with eulerlab is a two-route check.
 
-The slow-series half keeps the original O(N^3) series builders, which rebuild
+The slow-listing part keeps the package's original recursive class
+generators, against which the flat generators are checked tuple by tuple.
+
+The slow-series part keeps the original O(N^3) series builders, which rebuild
 every summand from scratch as a product, a reciprocal or a series product.
 They use only the generic TruncatedSeries ring and pochhammer of
 eulerlab.series (tested on their own), not the in-place term-ratio kernel
@@ -73,6 +76,118 @@ def brute_members(n: int, label: str) -> list[tuple[int, ...]]:
 
 def brute_count(n: int, label: str) -> int:
     return len(brute_members(n, label))
+
+
+def split_to_odd(parts: Sequence[int]) -> tuple[int, ...]:
+    """Glaisher's split by repeated halving: an even part becomes two halves."""
+    pending = list(parts)
+    out = []
+    while pending:
+        part = pending.pop()
+        if part % 2:
+            out.append(part)
+        else:
+            pending += [part // 2, part // 2]
+    return tuple(sorted(out, reverse=True))
+
+
+def merge_to_distinct(parts: Sequence[int]) -> tuple[int, ...]:
+    """Glaisher's merge by carrying: two equal parts become one of twice the
+    size, smallest value first, until no value repeats."""
+    counts = Counter(parts)
+    out = []
+    while counts:
+        value = min(counts)
+        pairs, single = divmod(counts.pop(value), 2)
+        if pairs:
+            counts[2 * value] += pairs
+        if single:
+            out.append(value)
+    return tuple(sorted(out, reverse=True))
+
+
+# ----------------------------------------------------------- slow listing
+# The package's original recursive class generators, kept verbatim: each
+# listed tuple climbs a yield-from chain as deep as it has parts.  The flat
+# loops of eulerlab.partitions must emit exactly these tuples in this order.
+
+
+def slow_gen_distinct(n: int, floor: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into distinct parts, each >= floor, lex decreasing."""
+    buf: list[int] = []
+
+    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(buf)
+            return
+        below_floor = (floor - 1) * floor // 2
+        for first in range(min(cap, remaining), floor - 1, -1):
+            if first * (first + 1) // 2 - below_floor < remaining:
+                break
+            buf.append(first)
+            yield from rec(remaining - first, first - 1)
+            buf.pop()
+
+    return rec(n, n)
+
+
+def slow_gen_odd(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into odd parts, lex decreasing."""
+    buf: list[int] = []
+
+    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(buf)
+            return
+        first = min(cap, remaining)
+        if first % 2 == 0:
+            first -= 1
+        for part in range(first, 0, -2):
+            buf.append(part)
+            yield from rec(remaining - part, part)
+            buf.pop()
+
+    return rec(n, n)
+
+
+def slow_gen_class_c(n: int) -> Iterator[tuple[int, ...]]:
+    """Class-C partitions of n: largest part 2N even, parts <= N distinct."""
+    buf: list[int] = []
+
+    def rec(remaining: int, cap: int, half: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(buf)
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            if first > half:
+                buf.append(first)
+                yield from rec(remaining - first, first, half)
+                buf.pop()
+            else:
+                if first * (first + 1) // 2 < remaining:
+                    break
+                buf.append(first)
+                yield from rec(remaining - first, first - 1, half)
+                buf.pop()
+
+    def outer() -> Iterator[tuple[int, ...]]:
+        for largest in range(2 * (n // 2), 1, -2):
+            buf.append(largest)
+            yield from rec(n - largest, largest, largest // 2)
+            buf.pop()
+
+    return outer()
+
+
+def slow_gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
+    """Class-D partitions of n: distinct parts, or the smallest part doubled."""
+    if n == 0:
+        yield ()
+        return
+    yield from slow_gen_distinct(n)
+    for s in range(1, n // 2 + 1):
+        for rest in slow_gen_distinct(n - 2 * s, floor=s + 1):
+            yield rest + (s, s)
 
 
 # ------------------------------------------------------------ slow series

@@ -57,6 +57,52 @@ def test_count_n_limit(capsys):
         assert f"at most {MAX_N}" in err
 
 
+# int() would read each of these as a number: "٣" and "١٠" are
+# Arabic-Indic 3 and 10, "1_0" is 10.
+NOT_ASCII_INTS = ["٣", "١٠", "1_0"]
+INT_OPTIONS = [
+    ("count", "--class", "A", "--n", "3", "--method", "enumeration", "--cutoff"),
+    ("enumerate", "--class", "A", "--n", "3", "--cutoff"),
+    ("verify", "--identity", "euler_AB", "--order"),
+    ("series", "--class", "A", "--order"),
+    ("map", "--bijection", "d-lift", "5+1", "--bit"),
+]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS + ["1_0..12", "3..٥", " 7"])
+def test_n_accepts_only_ascii_digits(capsys, text):
+    for sub in ("count", "enumerate"):
+        code, out, err = run(capsys, sub, "--class", "A", "--n", text)
+        assert code == 2, sub
+        assert out == ""
+        assert f"bad n range {text!r}" in err
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS)
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=lambda argv: argv[-1].lstrip("-"))
+def test_int_options_accept_only_ascii_digits(capsys, argv, text):
+    code, out, err = run(capsys, *argv, text)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-1]}: invalid int value: {text!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("count", "--class", "A", "--n", "-3"), "error: empty or negative n range '-3'"),
+        (("count", "--class", "A", "--n", "x"), "error: bad n range 'x'"),
+        (("verify", "--identity", "euler_AB", "--order", "ten"), "invalid int value: 'ten'"),
+        (("verify", "--identity", "euler_AB", "--order", "-5"), f"must be in 1..{MAX_ORDER}"),
+    ],
+)
+def test_bad_integer_messages_are_kept(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # ------------------------------------------------------------- enumerate
 
 

@@ -1,14 +1,17 @@
-"""Seeded faults: every series check must catch one coefficient off by one.
+"""Seeded faults: every check must catch one wrong value and name it exactly.
 
-Each test wraps one builder so that its coefficient of q^k comes out one too
-large, then asserts that the check reports exactly that exponent and the
-exact context string, so that no check passes vacuously.
+The series tests wrap one builder so that its coefficient of q^k comes out
+one too large, then assert that the check reports exactly that exponent and
+the exact context string.  The listing tests drop one partition from one
+class generator, or send one input of one map to a wrong image, and assert
+the exact detail of the listing criterion.  So no check passes vacuously.
 """
 
 import pytest
 
-from eulerlab import series
-from eulerlab.partitions import PartitionClass
+from eulerlab import acceptance, partitions, series
+from eulerlab.maps import ReductionCase, ReductionTag
+from eulerlab.partitions import PartitionClass, normalize
 from eulerlab.series import C_FORMS, CHAIN_STAGES, TruncatedSeries
 
 A, B, C, D = PartitionClass
@@ -86,3 +89,89 @@ def test_euler_expansion_fault_is_reported(monkeypatch, sign, context):
     monkeypatch.setattr(series, "_euler_rhs", patched)
     _assert_caught(series.euler_expansion_check(2, ORDER), K, context)
 
+
+
+# ------------------------------------------------------------ listing route
+
+
+def _drop_one(monkeypatch, cls, weight):
+    """Make the class generator leave out its first partition of the weight."""
+    original = partitions._GENERATORS[cls]
+
+    def dropping(n):
+        listed = original(n)
+        if n == weight:
+            next(listed)
+        return listed
+
+    monkeypatch.setitem(partitions._GENERATORS, cls, dropping)
+
+
+# A(16) = 32 and A(17) = 38 (distinct-part partitions); a class C or D
+# partition of weight 17 is counted at n = 16.  bijection_suite's fibers over
+# weight n are checked against the A listing of weight n - 1, and c_to_b's
+# images of C(n + 1) against the B listing of weight n.
+IMAGE_SET_OFF = "c_to_b image set differs from class B at weight {}"
+LISTING_FAULTS = [
+    (A, "n=17: A=37 B=38 C(n+1)=38 D(n+1)=76", "fiber structure off at weight 18"),
+    (B, "n=17: A=38 B=37 C(n+1)=38 D(n+1)=76", IMAGE_SET_OFF.format(17)),
+    (C, "n=16: A=32 B=32 C(n+1)=31 D(n+1)=64", IMAGE_SET_OFF.format(16)),
+    (D, "n=16: A=32 B=32 C(n+1)=32 D(n+1)=63", "fiber structure off at weight 17"),
+]
+
+
+@pytest.mark.parametrize("cls,theorem_detail,suite_detail", LISTING_FAULTS)
+def test_dropped_partition_is_reported(monkeypatch, cls, theorem_detail, suite_detail):
+    _drop_one(monkeypatch, cls, K)
+    theorem = acceptance.theorem_by_enumeration(20)
+    assert not theorem.passed
+    assert theorem.detail == theorem_detail
+    suite = acceptance.bijection_suite(20)
+    assert not suite.passed
+    assert suite.detail == suite_detail
+
+
+def P(*parts):
+    return normalize(parts)
+
+
+# (map, arguments perturbed, wrong result, detail): each wrong result is the
+# first one bijection_suite meets, since the suite walks weights upward.
+MAP_FAULTS = [
+    (
+        "glaisher_to_odd",
+        (P(4, 2, 1),),
+        P(*[1] * 8),
+        "glaisher_to_odd(4+2+1) bad image 1+1+1+1+1+1+1+1",
+    ),
+    ("glaisher_to_distinct", (P(3, 1, 1, 1),), P(4, 2), "glaisher round trip failed at 3+2+1"),
+    ("b_to_c", (P(3, 3),), P(4, 2, 1), "b_to_c then c_to_b failed at 3+3"),
+    ("b_to_c", (P(3, 1),), P(5), "b_to_c(3+1) bad image 5"),
+    ("c_to_b", (P(4, 3),), P(5, 1), "b_to_c then c_to_b failed at 3+3"),
+    (
+        "d_reduce",
+        (P(3, 2, 2),),
+        (P(3, 2, 1), ReductionTag(ReductionCase.SMALLEST_EQUALS_ONE)),
+        "d_reduce then d_lift failed at 3+2+2",
+    ),
+    (
+        "d_reduce",
+        (P(5, 1, 1),),
+        (P(5, 2), ReductionTag(ReductionCase.SMALLEST_EQUALS_ONE)),
+        "d_reduce(5+1+1) bad image 5+2",
+    ),
+    ("d_lift", (P(3, 2, 1), 0), P(4, 2, 1), "d_reduce then d_lift failed at 3+2+2"),
+]
+
+
+@pytest.mark.parametrize("name,at,wrong,detail", MAP_FAULTS)
+def test_map_fault_is_reported(monkeypatch, name, at, wrong, detail):
+    original = getattr(acceptance, name)
+
+    def patched(*args):
+        return wrong if args == at else original(*args)
+
+    monkeypatch.setattr(acceptance, name, patched)
+    suite = acceptance.bijection_suite(12)
+    assert not suite.passed
+    assert suite.detail == detail

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracle
 from eulerlab.maps import (
-    EvenPartFactorization,
     ReductionCase,
     ReductionTag,
     b_to_c,
@@ -29,31 +31,6 @@ def P(*parts: int) -> Partition:
     return normalize(parts)
 
 
-# ------------------------------------------------------------ factor record
-
-
-def test_factorization_record():
-    fac = EvenPartFactorization.of(12, 3)
-    assert (fac.base, fac.power, fac.multiplicity) == (3, 2, 3)
-    assert fac.digits == (1, 1)
-    assert fac.odd_copies() == 12
-    assert fac.merged_distinct_parts() == [12, 24]
-
-
-def test_factorization_of_odd_part():
-    fac = EvenPartFactorization.of(5, 6)
-    assert (fac.base, fac.power) == (5, 0)
-    assert fac.digits == (0, 1, 1)
-    assert fac.merged_distinct_parts() == [10, 20]
-
-
-def test_factorization_validation():
-    with pytest.raises(ValueError):
-        EvenPartFactorization(4, 0, 1, (1,))
-    with pytest.raises(ValueError):
-        EvenPartFactorization(3, 0, 5, (1, 1))
-
-
 # ------------------------------------------------------------ glaisher map
 
 
@@ -71,6 +48,31 @@ def test_glaisher_to_odd_examples(before, after):
 )
 def test_glaisher_to_distinct_examples(before, after):
     assert glaisher_to_distinct(P(*before)).parts == after
+
+
+def test_glaisher_to_odd_splits_by_the_power_of_two():
+    # 12 = 3 * 2**2 with multiplicity 3 splits into 3 * 4 = twelve 3s.
+    assert glaisher_to_odd(P(12, 12, 12)).parts == (3,) * 12
+
+
+def test_glaisher_to_distinct_merges_by_binary_digits():
+    # 5 with multiplicity 6 = 0b110 merges into 5*2 + 5*4.
+    assert glaisher_to_distinct(P(*[5] * 6)).parts == (20, 10)
+
+
+ODD = st.integers(0, 60).map(lambda k: 2 * k + 1)
+
+
+@given(st.lists(st.tuples(ODD, st.integers(0, 11)), max_size=6))
+def test_glaisher_to_odd_matches_oracle(pieces):
+    p = normalize([a << k for a, k in pieces])
+    assert glaisher_to_odd(p).parts == oracle.split_to_odd(p.parts)
+
+
+@given(st.lists(st.tuples(ODD, st.integers(1, 3000)), max_size=5))
+def test_glaisher_to_distinct_matches_oracle(pieces):
+    p = normalize([a for a, mult in pieces for _ in range(mult)])
+    assert glaisher_to_distinct(p).parts == oracle.merge_to_distinct(p.parts)
 
 
 def test_glaisher_to_distinct_rejects_even_parts():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
+from eulerlab import partitions
 from eulerlab.partitions import (
     CapacityError,
     ClassMembershipError,
@@ -138,6 +139,30 @@ def test_enumerate_properties(n, cls):
     assert all(p.weight == n for p in listed)
     assert all(is_in_class(p, cls) for p in listed)
     assert parts == sorted(oracle.brute_members(n, cls.value), reverse=True)
+
+
+SLOW_GENERATORS = {
+    A: oracle.slow_gen_distinct,
+    B: oracle.slow_gen_odd,
+    C: oracle.slow_gen_class_c,
+    D: oracle.slow_gen_class_d,
+}
+
+
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_generator_matches_recursive_reference(cls):
+    # Raw generator output, before enumerate_class sorts it: the same tuples
+    # in the same order as the original recursion.
+    flat = partitions._GENERATORS[cls]
+    for n in range(0, 62):
+        assert list(flat(n)) == list(SLOW_GENERATORS[cls](n)), n
+
+
+def test_distinct_generator_with_floor_matches_recursive_reference():
+    for n in range(0, 41):
+        for floor in range(1, n + 2):
+            got = list(partitions._gen_distinct(n, floor))
+            assert got == list(oracle.slow_gen_distinct(n, floor)), (n, floor)
 
 
 def test_enumerate_cutoff():
