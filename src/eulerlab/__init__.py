@@ -14,7 +14,6 @@ from .maps import (
 from .partitions import (
     CapacityError,
     ClassMembershipError,
-    CountTable,
     Partition,
     PartitionClass,
     PartitionParseError,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ClassMembershipError",
-    "CountTable",
     "InvertibilityError",
     "Partition",
     "PartitionClass",

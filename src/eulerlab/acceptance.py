@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
@@ -20,7 +20,14 @@ from .partitions import (
     is_in_class,
     render_class_d,
 )
-from .series import euler_expansion_check, gf_c_variant, verify_identity
+from .series import (
+    C_FORMS,
+    IDENTITY_NAMES,
+    VerificationReport,
+    euler_expansion_check,
+    gf_c_variant,
+    verify_identity,
+)
 
 A = PartitionClass.A
 B = PartitionClass.B
@@ -92,26 +99,27 @@ def theorem_by_enumeration(n_max: int = 60) -> CriterionResult:
     return CriterionResult("theorem_by_enumeration", True, "", perf_counter() - t0)
 
 
+def _first_failed_report(name: str, reports: Iterable[VerificationReport]) -> CriterionResult:
+    """Fail with the summary of the first failing report; reports is lazy."""
+    t0 = perf_counter()
+    for report in reports:
+        if not report.passed:
+            detail = report.summary(with_timing=False)
+            return CriterionResult(name, False, detail, perf_counter() - t0)
+    return CriterionResult(name, True, "", perf_counter() - t0)
+
+
 def theorem_by_series(order: int = 200) -> CriterionResult:
     """All five identity checks by series coefficients at the given order."""
-    t0 = perf_counter()
-    for name in ("euler_AB", "shift_BC", "chain_C", "half_D", "thm_all"):
-        report = verify_identity(name, order)
-        if not report.passed:
-            return CriterionResult(
-                "theorem_by_series",
-                False,
-                report.summary(with_timing=False),
-                perf_counter() - t0,
-            )
-    return CriterionResult("theorem_by_series", True, "", perf_counter() - t0)
+    reports = (verify_identity(name, order) for name in IDENTITY_NAMES)
+    return _first_failed_report("theorem_by_series", reports)
 
 
 def c_forms_match_b(order: int = 200) -> CriterionResult:
     """coeff(gf_C, n+1) = B(n) for 1 <= n <= order-1, in all three C forms."""
     t0 = perf_counter()
-    b_values = count_table(B, order - 1, "dynamic-program").values
-    for form in ("sum_over_largest", "even_poch_ratio", "odd_poch_ratio"):
+    b_values = count_table(B, order - 1, "dynamic-program")
+    for form in C_FORMS:
         coeffs = gf_c_variant(form, order).coeffs
         for n in range(1, order):
             if coeffs[n + 1] != b_values[n]:
@@ -122,26 +130,14 @@ def c_forms_match_b(order: int = 200) -> CriterionResult:
 
 def chain_stages(order: int = 200) -> CriterionResult:
     """All five doubled chain stages equal 2*gf_C, and 2*gf_C = gf_D + 1 - q."""
-    t0 = perf_counter()
-    for name in ("chain_C", "half_D"):
-        report = verify_identity(name, order)
-        if not report.passed:
-            return CriterionResult(
-                "chain_stages", False, report.summary(with_timing=False), perf_counter() - t0
-            )
-    return CriterionResult("chain_stages", True, "", perf_counter() - t0)
+    reports = (verify_identity(name, order) for name in ("chain_C", "half_D"))
+    return _first_failed_report("chain_stages", reports)
 
 
 def euler_expansion(max_c: int = 5, order: int = 100) -> CriterionResult:
     """The reciprocal-product expansion at t = q^c and t = -q^c, c = 1..max_c."""
-    t0 = perf_counter()
-    for c in range(1, max_c + 1):
-        report = euler_expansion_check(c, order)
-        if not report.passed:
-            return CriterionResult(
-                "euler_expansion", False, report.summary(with_timing=False), perf_counter() - t0
-            )
-    return CriterionResult("euler_expansion", True, "", perf_counter() - t0)
+    reports = (euler_expansion_check(c, order) for c in range(1, max_c + 1))
+    return _first_failed_report("euler_expansion", reports)
 
 
 def bijection_suite(max_weight: int = 40) -> CriterionResult:
@@ -207,7 +203,7 @@ def oracle_equivalence(n_max: int = 30) -> CriterionResult:
     """Enumeration, dynamic program, and series coefficients agree to n_max."""
     t0 = perf_counter()
     for cls in PartitionClass:
-        tables = {m: count_table(cls, n_max, m).values for m in COUNT_METHODS}
+        tables = {m: count_table(cls, n_max, m) for m in COUNT_METHODS}
         for n in range(n_max + 1):
             values = {m: tables[m][n] for m in COUNT_METHODS}
             if len(set(values.values())) != 1:
@@ -228,6 +224,6 @@ CRITERIA: dict[str, Callable[[], CriterionResult]] = {
 }
 
 
-def run_all(names: tuple[str, ...] | None = None) -> list[CriterionResult]:
+def run_all(names: Sequence[str] | None = None) -> list[CriterionResult]:
     selected = names or tuple(CRITERIA)
     return [CRITERIA[name]() for name in selected]

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .acceptance import CRITERIA, run_all
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
     COUNT_METHODS,
     DEFAULT_ENUMERATION_CUTOFF,
+    METHOD_DYNAMIC_PROGRAM,
     ClassMembershipError,
     Partition,
     PartitionClass,
@@ -36,6 +36,7 @@ from .series import (
     verify_identity,
 )
 
+DEFAULT_ORDER = 200
 MAX_CUTOFF = 100
 # Largest --order and --n accepted.  The slowest command at each limit takes
 # a few seconds on a 2-vCPU Xeon: verify --identity chain_C --order 2000 about
@@ -49,32 +50,6 @@ BIJECTIONS = ("glaisher", "glaisher-inv", "d-reduce", "d-lift", "c2b", "b2c")
 
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs of one invocation."""
-
-    subcommand: str
-    partition_class: PartitionClass | None = None
-    n_values: tuple[int, ...] = ()
-    method: str = "dynamic-program"
-    identity: str | None = None
-    form: str | None = None
-    stage: str | None = None
-    bijection: str | None = None
-    bit: int | None = None
-    order: int = 200
-    cutoff: int = DEFAULT_ENUMERATION_CUTOFF
-    fmt: str = "plain"
-    partition_text: str = ""
-    criteria: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.order <= MAX_ORDER:
-            raise UsageError(f"--order must be in 1..{MAX_ORDER}")
-        if not 0 < self.cutoff <= MAX_CUTOFF:
-            raise UsageError(f"--cutoff must be in 1..{MAX_CUTOFF}")
 
 
 def _is_ascii_int(text: str) -> bool:
@@ -153,32 +128,43 @@ def _emit(records: list[dict], fmt: str) -> None:
             print(record_to_plain(record))
 
 
-def cmd_count(config: RunConfig) -> int:
-    cls = config.partition_class
-    table = count_table(cls, max(config.n_values), config.method, config.cutoff)
-    records = [
-        {"type": "count", "n": n, "class": cls.value, "count": table.values[n]}
-        for n in config.n_values
-    ]
-    _emit(records, config.fmt)
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject out-of-range values, in the order --order, --cutoff, --n.
+
+    Replaces the text of --n by its tuple of weights.
+    """
+    if "order" in args and not 0 < args.order <= MAX_ORDER:
+        raise UsageError(f"--order must be in 1..{MAX_ORDER}")
+    if "cutoff" in args and not 0 < args.cutoff <= MAX_CUTOFF:
+        raise UsageError(f"--cutoff must be in 1..{MAX_CUTOFF}")
+    if "n" in args:
+        args.n = parse_n_range(args.n)
+        if args.subcommand == "enumerate" and len(args.n) != 1:
+            raise UsageError("enumerate takes a single weight, not a range")
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    cls = PartitionClass(args.cls)
+    counts = count_table(cls, max(args.n), args.method, args.cutoff)
+    records = [{"type": "count", "n": n, "class": cls.value, "count": counts[n]} for n in args.n]
+    _emit(records, args.format)
     return 0
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    cls = config.partition_class
-    (n,) = config.n_values
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    cls = PartitionClass(args.cls)
+    (n,) = args.n
     records = [
         {"type": "enumeration", "n": n, "class": cls.value, "parts": list(p.parts)}
-        for p in enumerate_class(n, cls, config.cutoff)
+        for p in enumerate_class(n, cls, args.cutoff)
     ]
-    _emit(records, config.fmt)
+    _emit(records, args.format)
     return 0
 
 
-def cmd_map(config: RunConfig) -> int:
-    name = config.bijection
-    allow_zeros = name == "d-reduce"
-    p = parse_partition(config.partition_text, allow_zeros=allow_zeros)
+def cmd_map(args: argparse.Namespace) -> int:
+    name = args.bijection
+    p = parse_partition(args.partition, allow_zeros=name == "d-reduce")
     record = {"type": "map", "bijection": name, "input": list(p.parts)}
     if name == "glaisher":
         image, out_cls = glaisher_to_odd(p), PartitionClass.B
@@ -189,20 +175,20 @@ def cmd_map(config: RunConfig) -> int:
     elif name == "b2c":
         image, out_cls = b_to_c(p), PartitionClass.C
     elif name == "d-lift":
-        if config.bit is None:
+        if args.bit is None:
             raise UsageError("d-lift needs --bit 0 or 1")
-        image, out_cls = d_lift(p, config.bit), PartitionClass.D
+        image, out_cls = d_lift(p, args.bit), PartitionClass.D
     else:  # d-reduce
         image, tag = d_reduce(p)
         out_cls = PartitionClass.A
         record.update({"case": tag.case.value, "case_number": tag.case_number, "bit": tag.bit})
     record.update({"parts": list(image.parts), "output_class": out_cls.value})
-    _emit([record], config.fmt)
+    _emit([record], args.format)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = verify_identity(config.identity, config.order)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_identity(args.identity, args.order)
     record = {
         "type": "verify",
         "name": report.name,
@@ -213,29 +199,29 @@ def cmd_verify(config: RunConfig) -> int:
         "rhs": report.rhs,
         "context": report.context,
     }
-    _emit([record], config.fmt)
+    _emit([record], args.format)
     return 0 if report.passed else 1
 
 
-def cmd_series(config: RunConfig) -> int:
-    if config.partition_class is not None:
-        series = gf_class(config.partition_class, config.order)
-    elif config.form is not None:
-        series = gf_c_variant(config.form, config.order)
-    elif config.stage is not None:
-        series = gf_c_chain_stage(config.stage, config.order)
+def cmd_series(args: argparse.Namespace) -> int:
+    if args.cls:
+        series = gf_class(PartitionClass(args.cls), args.order)
+    elif args.form is not None:
+        series = gf_c_variant(args.form, args.order)
+    elif args.stage is not None:
+        series = gf_c_chain_stage(args.stage, args.order)
     else:
         raise UsageError("series needs one of --class, --form, --stage")
     records = [
         {"type": "series", "exponent": n, "coefficient": c}
         for n, c in enumerate(series.coeffs)
     ]
-    _emit(records, config.fmt)
+    _emit(records, args.format)
     return 0
 
 
-def cmd_selftest(config: RunConfig) -> int:
-    results = run_all(config.criteria or None)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_all(args.only)
     records = [
         {
             "type": "selftest",
@@ -245,7 +231,7 @@ def cmd_selftest(config: RunConfig) -> int:
         }
         for r in results
     ]
-    _emit(records, config.fmt)
+    _emit(records, args.format)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -262,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count partitions of one class")
     p_count.add_argument("--class", dest="cls", choices="ABCD", required=True)
     p_count.add_argument("--n", required=True, help="single value or inclusive range a..b")
-    p_count.add_argument("--method", choices=COUNT_METHODS, default="dynamic-program")
+    p_count.add_argument("--method", choices=COUNT_METHODS, default=METHOD_DYNAMIC_PROGRAM)
     p_count.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
     add_common(p_count)
 
@@ -280,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one identity check")
     p_verify.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
-    p_verify.add_argument("--order", type=_int_option, default=200)
+    p_verify.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
     add_common(p_verify)
 
     p_series = sub.add_parser("series", help="dump a generating function as TSV")
@@ -288,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--class", dest="cls", choices="ABCD")
     group.add_argument("--form", choices=C_FORMS)
     group.add_argument("--stage", choices=CHAIN_STAGES)
-    p_series.add_argument("--order", type=_int_option, default=200)
+    p_series.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
     add_common(p_series)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
@@ -296,30 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_self)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cls = PartitionClass(args.cls) if getattr(args, "cls", None) else None
-    config = RunConfig(
-        subcommand=args.subcommand,
-        partition_class=cls,
-        fmt=args.format,
-        order=getattr(args, "order", 200),
-        cutoff=getattr(args, "cutoff", DEFAULT_ENUMERATION_CUTOFF),
-        method=getattr(args, "method", "dynamic-program"),
-        bijection=getattr(args, "bijection", None),
-        bit=getattr(args, "bit", None),
-        identity=getattr(args, "identity", None),
-        form=getattr(args, "form", None),
-        stage=getattr(args, "stage", None),
-        partition_text=getattr(args, "partition", ""),
-        criteria=tuple(getattr(args, "only", None) or ()),
-    )
-    if args.subcommand in ("count", "enumerate"):
-        config.n_values = parse_n_range(args.n)
-        if args.subcommand == "enumerate" and len(config.n_values) != 1:
-            raise UsageError("enumerate takes a single weight, not a range")
-    return config
 
 
 COMMANDS = {
@@ -339,8 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed the usage message
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return COMMANDS[args.subcommand](config)
+        _check_ranges(args)
+        return COMMANDS[args.subcommand](args)
     except ClassMembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -344,22 +344,7 @@ def count_class(
         if cls is PartitionClass.C and n == 0:
             return 1  # counting-layer convention; the predicate excludes the empty partition
         return len(enumerate_class(n, cls, cutoff))
-    if method == METHOD_DYNAMIC_PROGRAM:
-        return _dp_counts(cls, n)[n]
-    if method == METHOD_SERIES_COEFFICIENT:
-        from .series import gf_class  # deferred; series builds on this module
-
-        return gf_class(cls, n).coeff(n)
-    raise ValueError(f"unknown counting method: {method!r}")
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts values[n] for n = 0..len-1 of one class, tagged with the method."""
-
-    partition_class: PartitionClass
-    method: str
-    values: tuple[int, ...]
+    return count_table(cls, n, method, cutoff)[n]
 
 
 def count_table(
@@ -367,8 +352,8 @@ def count_table(
     n_max: int,
     method: str = METHOD_DYNAMIC_PROGRAM,
     cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
-) -> CountTable:
-    """Counting table for n = 0..n_max in one pass."""
+) -> tuple[int, ...]:
+    """Counts of the class for n = 0..n_max, in one pass."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if method == METHOD_DYNAMIC_PROGRAM:
@@ -376,12 +361,12 @@ def count_table(
     elif method == METHOD_ENUMERATION:
         values = [count_class(n, cls, METHOD_ENUMERATION, cutoff) for n in range(n_max + 1)]
     elif method == METHOD_SERIES_COEFFICIENT:
-        from .series import gf_class
+        from .series import gf_class  # deferred; series builds on this module
 
-        values = list(gf_class(cls, n_max).coeffs)
+        values = gf_class(cls, n_max).coeffs
     else:
         raise ValueError(f"unknown counting method: {method!r}")
-    return CountTable(cls, method, tuple(values))
+    return tuple(values)
 
 
 def render_class_d(p: Partition) -> str:

@@ -9,13 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import PartitionClass
-
-C_FORMS = ("sum_over_largest", "even_poch_ratio", "odd_poch_ratio")
-CHAIN_STAGES = ("factored", "double_sum", "split_sum", "bracket_reciprocals", "final")
-IDENTITY_NAMES = ("euler_AB", "shift_BC", "chain_C", "half_D", "thm_all")
 
 
 class InvertibilityError(ValueError):
@@ -144,11 +140,6 @@ class TruncatedSeries:
             b[m] = -c0 * acc
         return TruncatedSeries(b, n)
 
-    def tsv_lines(self) -> Iterator[str]:
-        """Export as one 'exponent<TAB>coefficient' line per exponent."""
-        for n, c in enumerate(self.coeffs):
-            yield f"{n}\t{c}"
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
@@ -206,6 +197,11 @@ def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> T
 # coefficient list by one such factor is an O(N) in-place recurrence, so each
 # summand is derived from the previous one and a whole build costs O(N^2).
 # The sign convention is PochSpec's: s = -1 gives the factor (1 + q^e).
+#
+# A term ratio T_n / T_(n-1), apart from the q^gap of the sum, is written as
+# data: a tuple of factors (sign, a, b, power), each meaning
+# (1 - sign*q^(a*n + b))^power with power +1 or -1.
+Ratio = tuple[tuple[int, int, int, int], ...]
 
 
 def _mul_factor(c: list[int], sign: int, e: int) -> None:
@@ -260,25 +256,43 @@ def _sum_by_ratio(
     order: int,
     first: list[int],
     gap: int,
-    step: Callable[[list[int], int], None],
+    ratio: Ratio,
     with_first: bool = True,
+    scale: int = 1,
 ) -> list[int]:
-    """Coefficients 0..order of sum_{n >= 0} q^(gap*n) T_n.
+    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) T_n.
 
-    T_0 is `first`, which is consumed; step(T, n) turns T_{n-1} into T_n in
-    place by the term ratio T_n / T_{n-1}.  T_n is carried only to relative
-    order order - gap*n, so later terms are shorter.  with_first=False leaves
-    T_0 out of the sum.
+    T_0 is `first`, which is consumed; T_n is T_(n-1) times the factors of
+    `ratio` at n, applied in place.  T_n is carried only to relative order
+    order - gap*n, so later terms are shorter.  with_first=False leaves T_0
+    out of the sum.
     """
+    factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
     out = first[:] if with_first else [0] * (order + 1)
     term = first
     n = 1
     while gap * n <= order:
         del term[order - gap * n + 1 :]
-        step(term, n)
-        _add_scaled(out, term, gap * n)
+        for apply, sign, a, b in factors:
+            apply(term, sign, a * n + b)
+        _add_scaled(out, term, gap * n, scale**n)
         n += 1
     return out
+
+
+# The three sum forms of gf_C, each summand indexed by half the largest part
+# and each stepped by the ratio of its own displayed summand:
+#   sum_over_largest  q^(2n) (-q;q)_n / (q^(n+1);q)_n,
+#                     q^2 (1+q^n)(1-q^n) / ((1-q^(2n-1))(1-q^(2n)));
+#   even_poch_ratio   q^(2n) (q^2;q^2)_n / (q;q)_(2n),
+#                     q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n)));
+#   odd_poch_ratio    q^(2n) / (q;q^2)_n,  q^2 / (1-q^(2n-1)).
+_C_FORM_RATIOS: dict[str, Ratio] = {
+    "sum_over_largest": ((-1, 1, 0, 1), (1, 1, 0, 1), (1, 2, -1, -1), (1, 2, 0, -1)),
+    "even_poch_ratio": ((1, 2, 0, 1), (1, 2, -1, -1), (1, 2, 0, -1)),
+    "odd_poch_ratio": ((1, 2, -1, -1),),
+}
+C_FORMS = tuple(_C_FORM_RATIOS)
 
 
 @dataclass(frozen=True)
@@ -305,13 +319,6 @@ class VerificationReport:
         )
 
 
-def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int] | None:
-    for n, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return n, x, y
-    return None
-
-
 def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     """Generating function of a class: coefficient of q^n counts weight n.
 
@@ -325,52 +332,13 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     if cls is PartitionClass.B:
         return _poch(+1, 1, 2, None, order).reciprocal()
     if cls is PartitionClass.C:
-        return TruncatedSeries(_c_sum_over_largest(order, True), order)
+        ratio = _C_FORM_RATIOS["sum_over_largest"]
+        return TruncatedSeries(_sum_by_ratio(order, _unit(order), 2, ratio), order)
     if cls is PartitionClass.D:
         # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
         first = list(_poch(-1, 1, 1, None, order).coeffs)
-        return TruncatedSeries(
-            _sum_by_ratio(order, first, 2, lambda t, m: _div_factor(t, -1, m)), order
-        )
+        return TruncatedSeries(_sum_by_ratio(order, first, 2, ((-1, 1, 0, -1),)), order)
     raise TypeError(f"not a partition class: {cls!r}")
-
-
-def _c_sum_over_largest(order: int, include_constant: bool) -> list[int]:
-    # sum_n q^(2n) (-q;q)_n / (q^(n+1);q)_n;
-    # T_n / T_(n-1) = q^2 (1+q^n)(1-q^n) / ((1-q^(2n-1))(1-q^(2n)))
-    def step(t: list[int], n: int) -> None:
-        _mul_factor(t, -1, n)
-        _mul_factor(t, +1, n)
-        _div_factor(t, +1, 2 * n - 1)
-        _div_factor(t, +1, 2 * n)
-
-    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
-
-
-def _c_even_poch_ratio(order: int, include_constant: bool) -> list[int]:
-    # sum_n q^(2n) (q^2;q^2)_n / (q;q)_(2n);
-    # T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n)))
-    def step(t: list[int], n: int) -> None:
-        _mul_factor(t, +1, 2 * n)
-        _div_factor(t, +1, 2 * n - 1)
-        _div_factor(t, +1, 2 * n)
-
-    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
-
-
-def _c_odd_poch_ratio(order: int, include_constant: bool) -> list[int]:
-    # sum_n q^(2n) / (q;q^2)_n;  T_n / T_(n-1) = q^2 / (1-q^(2n-1))
-    def step(t: list[int], n: int) -> None:
-        _div_factor(t, +1, 2 * n - 1)
-
-    return _sum_by_ratio(order, _unit(order), 2, step, include_constant)
-
-
-_C_FORM_BUILDERS = {
-    "sum_over_largest": _c_sum_over_largest,
-    "even_poch_ratio": _c_even_poch_ratio,
-    "odd_poch_ratio": _c_odd_poch_ratio,
-}
 
 
 def gf_c_variant(form: str, order: int, include_constant: bool = True) -> TruncatedSeries:
@@ -383,25 +351,22 @@ def gf_c_variant(form: str, order: int, include_constant: bool = True) -> Trunca
     """
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
-    return TruncatedSeries(_C_FORM_BUILDERS[form](order, include_constant), order)
+    coeffs = _sum_by_ratio(order, _unit(order), 2, _C_FORM_RATIOS[form], include_constant)
+    return TruncatedSeries(coeffs, order)
 
 
 def _inner_m_sum(order: int, gap: int) -> list[int]:
     # sum_m q^(gap*m) / (q^2;q^2)_m;  T_m / T_(m-1) = q^gap / (1-q^(2m))
-    return _sum_by_ratio(order, _unit(order), gap, lambda t, m: _div_factor(t, +1, 2 * m))
+    return _sum_by_ratio(order, _unit(order), gap, ((1, 2, 0, -1),))
 
 
 def _stage_factored(order: int) -> list[int]:
     # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf ),
     # T_0 = 1/(q^2;q^2)_inf; T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n))),
     # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.
-    def step(t: list[int], n: int) -> None:
-        _mul_factor(t, +1, 2 * n)
-        _div_factor(t, +1, 2 * n - 1)
-        _div_factor(t, +1, 2 * n)
-
     first = _div_poch_inf(_unit(order), +1, 2, 2)
-    acc = _mul_poch_inf(_sum_by_ratio(order, first, 2, step), +1, 2, 2)
+    ratio = ((1, 2, 0, 1), (1, 2, -1, -1), (1, 2, 0, -1))
+    acc = _mul_poch_inf(_sum_by_ratio(order, first, 2, ratio), +1, 2, 2)
     return [2 * x for x in acc]
 
 
@@ -442,24 +407,17 @@ def _stage_bracket_reciprocals(order: int) -> list[int]:
     # one sum per bracket half: U_m = U_(m-1) (1-q^m) from U_0 = 1/(q;q)_inf
     # and V_m = V_(m-1) (1+q^m) from V_0 = 1/(-q;q)_inf, each summand also
     # taking the 1/(1-q^(2m)) of 1/(q^2;q^2)_m and the q^2 of q^(2m).
-    def halves(sign: int) -> list[int]:
-        def step(t: list[int], m: int) -> None:
-            _mul_factor(t, sign, m)
-            _div_factor(t, +1, 2 * m)
-
-        return _sum_by_ratio(order, _div_poch_inf(_unit(order), sign, 1, 1), 2, step)
-
-    acc = halves(+1)
-    _add_scaled(acc, halves(-1), 0)
+    acc = [0] * (order + 1)
+    for sign in (+1, -1):
+        first = _div_poch_inf(_unit(order), sign, 1, 1)
+        _add_scaled(acc, _sum_by_ratio(order, first, 2, ((sign, 1, 0, 1), (1, 2, 0, -1))), 0)
     return _mul_poch_inf(acc, +1, 2, 2)
 
 
 def _stage_final(order: int) -> list[int]:
     # sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
     out = list(gf_class(PartitionClass.D, order).coeffs)
-    out[0] += 1
-    if order >= 1:
-        out[1] -= 1
+    _add_scaled(out, (1, -1), 0)
     return out
 
 
@@ -470,6 +428,7 @@ _CHAIN_STAGE_BUILDERS = {
     "bracket_reciprocals": _stage_bracket_reciprocals,
     "final": _stage_final,
 }
+CHAIN_STAGES = tuple(_CHAIN_STAGE_BUILDERS)
 
 
 def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
@@ -485,13 +444,31 @@ def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
 
 
 def _euler_rhs(c: int, sign: int, order: int) -> list[int]:
-    # sum_m t^m / (q;q)_m at t = sign*q^c;  T_m / T_(m-1) = sign*q^c / (1-q^m)
-    def step(t: list[int], m: int) -> None:
-        _div_factor(t, +1, m)
-        if sign == -1:
-            t[:] = [-x for x in t]
+    # sum_m t^m / (q;q)_m at t = sign*q^c;  T_m / T_(m-1) = q^c / (1-q^m),
+    # and summand m is scaled by sign^m
+    return _sum_by_ratio(order, _unit(order), c, ((1, 1, 0, -1),), scale=sign)
 
-    return _sum_by_ratio(order, _unit(order), c, step)
+
+# A check is (context, first exponent, lhs, rhs): lhs[i] and rhs[i] are the
+# coefficients of q^(first + i).  Checks are yielded lazily: a side is built only
+# once every earlier check has passed, by the builder its module name holds then.
+Check = tuple[str, int, Sequence[int], Sequence[int]]
+
+
+def _first_failure(name: str, order: int, checks: Iterable[Check]) -> VerificationReport:
+    """The first mismatch of the first failing check, or a pass."""
+    t0 = perf_counter()
+    for context, first, lhs, rhs in checks:
+        for n, (x, y) in enumerate(zip(lhs, rhs), first):
+            if x != y:
+                return VerificationReport(name, order, False, perf_counter() - t0, n, x, y, context)
+    return VerificationReport(name, order, True, perf_counter() - t0)
+
+
+def _euler_checks(c: int, order: int) -> Iterator[Check]:
+    for context, sign in (("t=q^c", +1), ("t=-q^c", -1)):
+        lhs = _poch(sign, c, 1, None, order).reciprocal()
+        yield context, 0, lhs.coeffs, _euler_rhs(c, sign, order)
 
 
 def euler_expansion_check(c: int, order: int) -> VerificationReport:
@@ -502,93 +479,57 @@ def euler_expansion_check(c: int, order: int) -> VerificationReport:
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    t0 = perf_counter()
-    name = f"euler_expansion_c{c}"
-    for label, sign in (("t=q^c", +1), ("t=-q^c", -1)):
-        lhs = _poch(+1 if sign == 1 else -1, c, 1, None, order).reciprocal()
-        bad = _first_mismatch(lhs.coeffs, _euler_rhs(c, sign, order))
-        if bad:
-            n, x, y = bad
-            return VerificationReport(
-                name, order, False, perf_counter() - t0, n, x, y, context=label
-            )
-    return VerificationReport(name, order, True, perf_counter() - t0)
+    return _first_failure(f"euler_expansion_c{c}", order, _euler_checks(c, order))
+
+
+def _euler_ab_checks(order: int) -> Iterator[Check]:
+    a = gf_class(PartitionClass.A, order)
+    b = gf_class(PartitionClass.B, order)
+    yield "gf(A) vs gf(B)", 0, a.coeffs, b.coeffs
+
+
+def _shift_bc_checks(order: int) -> Iterator[Check]:
+    b = gf_class(PartitionClass.B, order).coeffs
+    c = gf_class(PartitionClass.C, order).coeffs
+    yield "coeff(gf(C), n+1) vs coeff(gf(B), n)", 2, c[2:], b[1:order]
+
+
+def _chain_c_checks(order: int) -> Iterator[Check]:
+    base = gf_class(PartitionClass.C, order)
+    for form in C_FORMS:
+        yield f"form={form}", 0, gf_c_variant(form, order).coeffs, base.coeffs
+    doubled = (2 * base).coeffs
+    for stage in CHAIN_STAGES:
+        yield f"stage={stage}", 0, gf_c_chain_stage(stage, order).coeffs, doubled
+
+
+def _half_d_checks(order: int) -> Iterator[Check]:
+    lhs = 2 * gf_class(PartitionClass.C, order)
+    yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs.coeffs, _stage_final(order)
+
+
+def _thm_all_checks(order: int) -> Iterator[Check]:
+    # Reported at n, the index of A(n) and B(n); all three comparisons at n
+    # come before those at n + 1.
+    a, b, c, d = (gf_class(cls, order).coeffs for cls in PartitionClass)
+    for n in range(2, order):
+        yield "A(n) vs B(n)", n, (a[n],), (b[n],)
+        yield "B(n) vs C(n+1)", n, (b[n],), (c[n + 1],)
+        yield "2*A(n) vs D(n+1)", n, (2 * a[n],), (d[n + 1],)
+
+
+_IDENTITY_CHECKS = {
+    "euler_AB": _euler_ab_checks,
+    "shift_BC": _shift_bc_checks,
+    "chain_C": _chain_c_checks,
+    "half_D": _half_d_checks,
+    "thm_all": _thm_all_checks,
+}
+IDENTITY_NAMES = tuple(_IDENTITY_CHECKS)
 
 
 def verify_identity(name: str, order: int) -> VerificationReport:
     """Run one named identity check coefficientwise to the given order."""
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity: {name!r}")
-    t0 = perf_counter()
-
-    def report(bad: tuple[int, int, int] | None, context: str) -> VerificationReport | None:
-        if bad is None:
-            return None
-        n, x, y = bad
-        return VerificationReport(name, order, False, perf_counter() - t0, n, x, y, context)
-
-    if name == "euler_AB":
-        a = gf_class(PartitionClass.A, order)
-        b = gf_class(PartitionClass.B, order)
-        failed = report(_first_mismatch(a.coeffs, b.coeffs), "gf(A) vs gf(B)")
-        if failed:
-            return failed
-
-    elif name == "shift_BC":
-        b = gf_class(PartitionClass.B, order)
-        c = gf_class(PartitionClass.C, order)
-        for n in range(1, order):
-            if c.coeffs[n + 1] != b.coeffs[n]:
-                return VerificationReport(
-                    name,
-                    order,
-                    False,
-                    perf_counter() - t0,
-                    n + 1,
-                    c.coeffs[n + 1],
-                    b.coeffs[n],
-                    context="coeff(gf(C), n+1) vs coeff(gf(B), n)",
-                )
-
-    elif name == "chain_C":
-        base = gf_class(PartitionClass.C, order)
-        doubled = 2 * base
-        for form in C_FORMS:
-            variant = gf_c_variant(form, order)
-            failed = report(_first_mismatch(variant.coeffs, base.coeffs), f"form={form}")
-            if failed:
-                return failed
-        for stage in CHAIN_STAGES:
-            staged = gf_c_chain_stage(stage, order)
-            failed = report(_first_mismatch(staged.coeffs, doubled.coeffs), f"stage={stage}")
-            if failed:
-                return failed
-
-    elif name == "half_D":
-        lhs = 2 * gf_class(PartitionClass.C, order)
-        rhs = list(gf_class(PartitionClass.D, order).coeffs)
-        rhs[0] += 1
-        if order >= 1:
-            rhs[1] -= 1
-        failed = report(_first_mismatch(lhs.coeffs, rhs), "2*gf(C) vs gf(D) + 1 - q")
-        if failed:
-            return failed
-
-    else:  # thm_all
-        a = gf_class(PartitionClass.A, order).coeffs
-        b = gf_class(PartitionClass.B, order).coeffs
-        c = gf_class(PartitionClass.C, order).coeffs
-        d = gf_class(PartitionClass.D, order).coeffs
-        for n in range(2, order):
-            checks = (
-                (a[n], b[n], "A(n) vs B(n)"),
-                (b[n], c[n + 1], "B(n) vs C(n+1)"),
-                (2 * a[n], d[n + 1], "2*A(n) vs D(n+1)"),
-            )
-            for lhs, rhs, context in checks:
-                if lhs != rhs:
-                    return VerificationReport(
-                        name, order, False, perf_counter() - t0, n, lhs, rhs, context
-                    )
-
-    return VerificationReport(name, order, True, perf_counter() - t0)
+    return _first_failure(name, order, _IDENTITY_CHECKS[name](order))

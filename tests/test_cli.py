@@ -320,3 +320,12 @@ def test_selftest_single_criterion(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "count", "--class", "Z", "--n", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+def test_empty_class_exit_2(capsys):
+    # argparse takes "" as a choice of "ABCD"; the class lookup rejects it.
+    for cmd in ("count", "enumerate"):
+        code, out, err = run(capsys, cmd, "--class", "", "--n", "3")
+        assert (code, out, err) == (2, "", "error: '' is not a valid PartitionClass\n")
+    code, _, err = run(capsys, "series", "--class", "")
+    assert (code, err) == (2, "error: series needs one of --class, --form, --stage\n")

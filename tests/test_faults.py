@@ -90,6 +90,68 @@ def test_euler_expansion_fault_is_reported(monkeypatch, sign, context):
     _assert_caught(series.euler_expansion_check(2, ORDER), K, context)
 
 
+# Two faults: a report names the first failing check in the identity's own
+# order (forms before stages; thm_all by n, then comparison), not the lowest
+# exponent over all checks.
+def test_chain_c_reports_forms_before_stages(monkeypatch):
+    _perturb(monkeypatch, "gf_c_variant", "even_poch_ratio", 20)
+    _perturb(monkeypatch, "gf_c_chain_stage", "factored", 5)
+    report = series.verify_identity("chain_C", ORDER)
+    assert report.summary(with_timing=False) == (
+        "chain_C order=30 FAIL at q^20: 55 != 54 [form=even_poch_ratio]"
+    )
+
+
+def test_thm_all_reports_by_n_then_comparison(monkeypatch):
+    _perturb(monkeypatch, "gf_class", D, 10)
+    _perturb(monkeypatch, "gf_class", B, 20)
+    report = series.verify_identity("thm_all", ORDER)
+    assert report.summary(with_timing=False) == (
+        "thm_all order=30 FAIL at q^9: 16 != 17 [2*A(n) vs D(n+1)]"
+    )
+
+
+# (criterion, builder perturbed at q^17, its first argument, detail)
+CRITERION_FAULTS = [
+    (
+        "theorem_by_series",
+        "gf_class",
+        A,
+        "euler_AB order=30 FAIL at q^17: 39 != 38 [gf(A) vs gf(B)]",
+    ),
+    ("theorem_by_series", "gf_class", D, "chain_C order=30 FAIL at q^17: 65 != 64 [stage=final]"),
+    (
+        "chain_stages",
+        "gf_c_chain_stage",
+        "split_sum",
+        "chain_C order=30 FAIL at q^17: 65 != 64 [stage=split_sum]",
+    ),
+]
+
+
+@pytest.mark.parametrize("criterion,attr,first_arg,detail", CRITERION_FAULTS)
+def test_series_criterion_detail(monkeypatch, criterion, attr, first_arg, detail):
+    _perturb(monkeypatch, attr, first_arg, K)
+    result = getattr(acceptance, criterion)(ORDER)
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_euler_expansion_criterion_detail(monkeypatch):
+    original = series._euler_rhs
+
+    def patched(c, sign, order):
+        rhs = original(c, sign, order)
+        if c == 3 and sign == -1:
+            rhs[K] += 1
+        return rhs
+
+    monkeypatch.setattr(series, "_euler_rhs", patched)
+    result = acceptance.euler_expansion(5, ORDER)
+    assert not result.passed
+    assert result.detail == "euler_expansion_c3 order=30 FAIL at q^17: -1 != 0 [t=-q^c]"
+
+
 
 # ------------------------------------------------------------ listing route
 
