@@ -278,6 +278,26 @@ def enumerate_class(
     return [Partition(t) for t in tuples]
 
 
+def _mul_binomial(c: list[int], sign: int, e: int) -> None:
+    """c *= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
+
+    c[j] -= sign*c[j-e] for j descending, that is from the old values.
+    """
+    if sign == 1:
+        c[e:] = [x - y for x, y in zip(c[e:], c)]
+    else:
+        c[e:] = [x + y for x, y in zip(c[e:], c)]
+
+
+def _div_binomial(c: list[int], e: int) -> None:
+    """c /= (1 - q^e) in place, truncated at len(c); e >= 1.
+
+    c[j] += c[j-e] for j ascending, that is from the new values.
+    """
+    for j in range(e, len(c)):
+        c[j] += c[j - e]
+
+
 def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     """Counting table values[0..n_max] for one class, by dynamic program."""
     if cls is PartitionClass.A:
@@ -296,22 +316,22 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
         return dp
     if cls is PartitionClass.C:
         # Condition on the largest part 2N: one copy of 2N is placed, parts in
-        # (N, 2N] repeat freely, parts <= N are used at most once.  C(0)=1 is
-        # the counting convention for the empty partition.
+        # (N, 2N] repeat freely, parts <= N are used at most once.  dp counts
+        # the rest, prod_{k<=N} (1+q^k) / prod_{N<k<=2N} (1-q^k), and is
+        # updated from N-1 to N in four O(n) passes: N stops being free and
+        # may occur once, 2N-1 and 2N become free.  At N=1 the first and third
+        # passes cancel, as part 1 was never free.  C(0)=1 is the counting
+        # convention for the empty partition.
         out = [0] * (n_max + 1)
         out[0] = 1
+        dp = [1] + [0] * n_max
         for half in range(1, n_max // 2 + 1):
-            m_max = n_max - 2 * half
-            dp = [0] * (m_max + 1)
-            dp[0] = 1
-            for k in range(half + 1, 2 * half + 1):
-                for j in range(k, m_max + 1):
-                    dp[j] += dp[j - k]
-            for k in range(1, half + 1):
-                for j in range(m_max, k - 1, -1):
-                    dp[j] += dp[j - k]
-            for m in range(m_max + 1):
-                out[m + 2 * half] += dp[m]
+            del dp[n_max - 2 * half + 1 :]
+            _mul_binomial(dp, 1, half)
+            _mul_binomial(dp, -1, half)
+            _div_binomial(dp, 2 * half - 1)
+            _div_binomial(dp, 2 * half)
+            out[2 * half :] = [x + y for x, y in zip(out[2 * half :], dp)]
         return out
     if cls is PartitionClass.D:
         # Two-to-one reduction onto distinct partitions of n-1; the n=0 and

@@ -7,6 +7,9 @@ from the definitions, so agreement with eulerlab is a two-route check.
 The slow-listing part keeps the package's original recursive class
 generators, against which the flat generators are checked tuple by tuple.
 
+The slow-counting part keeps the package's original O(n^3) class-C dynamic
+program, against which the O(n^2) table update is checked count by count.
+
 The slow-series part keeps the original O(N^3) series builders, which rebuild
 every summand from scratch as a product, a reciprocal or a series product.
 They use only the generic TruncatedSeries ring and pochhammer of
@@ -188,6 +191,34 @@ def slow_gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
     for s in range(1, n // 2 + 1):
         for rest in slow_gen_distinct(n - 2 * s, floor=s + 1):
             yield rest + (s, s)
+
+
+# ---------------------------------------------------------- slow counting
+# The package's original O(n^3) class-C dynamic program, kept verbatim: it
+# builds a fresh knapsack table for every largest part.  The O(n^2) table
+# update of eulerlab.partitions._dp_counts must give exactly these counts.
+
+
+def slow_dp_counts_c(n_max: int) -> list[int]:
+    """Class-C counts for n = 0..n_max, one knapsack per largest part."""
+    # Condition on the largest part 2N: one copy of 2N is placed, parts in
+    # (N, 2N] repeat freely, parts <= N are used at most once.  C(0)=1 is
+    # the counting convention for the empty partition.
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    for half in range(1, n_max // 2 + 1):
+        m_max = n_max - 2 * half
+        dp = [0] * (m_max + 1)
+        dp[0] = 1
+        for k in range(half + 1, 2 * half + 1):
+            for j in range(k, m_max + 1):
+                dp[j] += dp[j - k]
+        for k in range(1, half + 1):
+            for j in range(m_max, k - 1, -1):
+                dp[j] += dp[j - k]
+        for m in range(m_max + 1):
+            out[m + 2 * half] += dp[m]
+    return out
 
 
 # ------------------------------------------------------------ slow series

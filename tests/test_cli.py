@@ -57,6 +57,19 @@ def test_count_n_limit(capsys):
         assert f"at most {MAX_N}" in err
 
 
+def test_count_class_c_at_n_limit(capsys):
+    # The default dynamic program against the series coefficients.
+    n = f"{MAX_N - 1}..{MAX_N}"
+    code, out, _ = run(capsys, "count", "--class", "C", "--n", n)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == [str(MAX_N - 1), str(MAX_N)]
+    code, by_series, _ = run(
+        capsys, "count", "--class", "C", "--n", n, "--method", "series-coefficient"
+    )
+    assert code == 0
+    assert out == by_series
+
+
 # int() would read each of these as a number: "٣" and "١٠" are
 # Arabic-Indic 3 and 10, "1_0" is 10.
 NOT_ASCII_INTS = ["٣", "١٠", "1_0"]
@@ -323,9 +336,12 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_empty_class_exit_2(capsys):
-    # argparse takes "" as a choice of "ABCD"; the class lookup rejects it.
-    for cmd in ("count", "enumerate"):
-        code, out, err = run(capsys, cmd, "--class", "", "--n", "3")
-        assert (code, out, err) == (2, "", "error: '' is not a valid PartitionClass\n")
-    code, _, err = run(capsys, "series", "--class", "")
-    assert (code, err) == (2, "error: series needs one of --class, --form, --stage\n")
+    # The choices are the four letters, not the string "ABCD", so argparse
+    # rejects its substrings, "" among them, with its own usage message.
+    for text in ("", "AB"):
+        invalid = f"invalid choice: {text!r} (choose from 'A', 'B', 'C', 'D')\n"
+        for argv in (("count", "--n", "3"), ("enumerate", "--n", "3"), ("series",)):
+            code, out, err = run(capsys, *argv, "--class", text)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage: eulerlab {argv[0]} ")
+            assert err.endswith(f"eulerlab {argv[0]}: error: argument --class: {invalid}")

@@ -4,7 +4,9 @@ The series tests wrap one builder so that its coefficient of q^k comes out
 one too large, then assert that the check reports exactly that exponent and
 the exact context string.  The listing tests drop one partition from one
 class generator, or send one input of one map to a wrong image, and assert
-the exact detail of the listing criterion.  So no check passes vacuously.
+the exact detail of the listing criterion.  The counting test adds one to a
+dynamic-program count and asserts the detail of oracle_equivalence.  So no
+check passes vacuously.
 """
 
 import pytest
@@ -135,6 +137,23 @@ def test_series_criterion_detail(monkeypatch, criterion, attr, first_arg, detail
     result = getattr(acceptance, criterion)(ORDER)
     assert not result.passed
     assert result.detail == detail
+
+
+def test_oracle_equivalence_detail(monkeypatch):
+    original = partitions._dp_counts
+
+    def patched(cls, n_max):
+        values = original(cls, n_max)
+        if cls is C:
+            values[K] += 1
+        return values
+
+    monkeypatch.setattr(partitions, "_dp_counts", patched)
+    result = acceptance.oracle_equivalence()
+    assert not result.passed
+    assert result.detail == (
+        "class C, n=17: {'enumeration': 32, 'dynamic-program': 33, 'series-coefficient': 32}"
+    )
 
 
 def test_euler_expansion_criterion_detail(monkeypatch):

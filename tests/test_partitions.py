@@ -18,6 +18,7 @@ from eulerlab.partitions import (
     parse_partition,
     render_class_d,
 )
+from eulerlab.series import gf_class
 
 A, B, C, D = PartitionClass
 
@@ -207,6 +208,17 @@ def test_count_matches_oracle(cls):
         if cls is C and n == 0:
             expected = 1  # counting convention
         assert count_class(n, cls, "dynamic-program") == expected
+
+
+def test_class_c_dp_matches_cubic_reference():
+    for n_max in [*range(121), 300]:
+        assert partitions._dp_counts(C, n_max) == oracle.slow_dp_counts_c(n_max), n_max
+
+
+def test_class_c_dp_matches_series_at_max_n():
+    # The cubic reference would take seconds here; the series route is the
+    # independent check at the CLI's largest --n.
+    assert tuple(partitions._dp_counts(C, 1000)) == gf_class(C, 1000).coeffs
 
 
 def test_count_d_range_from_reduction_identity():
