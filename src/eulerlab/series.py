@@ -188,10 +188,6 @@ def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> TruncatedSeries:
-    return pochhammer(PochSpec(sign, offset, step, terms), order)
-
-
 # The series builders below are sums of q-Pochhammer quotients.  Consecutive
 # summands differ by a few factors (1 - s*q^e), and multiplying or dividing a
 # coefficient list by one such factor is an O(N) in-place recurrence, so each
@@ -249,7 +245,12 @@ def _unit(order: int) -> list[int]:
 def _add_scaled(target: list[int], coeffs: Sequence[int], shift: int, factor: int = 1) -> None:
     """target += factor * q^shift * coeffs, truncated at len(target)."""
     end = shift + len(coeffs)
-    target[shift:end] = [x + factor * y for x, y in zip(target[shift:end], coeffs)]
+    if factor == 1:
+        target[shift:end] = [x + y for x, y in zip(target[shift:end], coeffs)]
+    elif factor == -1:
+        target[shift:end] = [x - y for x, y in zip(target[shift:end], coeffs)]
+    else:
+        target[shift:end] = [x + factor * y for x, y in zip(target[shift:end], coeffs)]
 
 
 def _sum_by_ratio(
@@ -328,15 +329,15 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     D is the sum over the doubled smallest part m of q^(2m) (-q^(m+1);q)_inf.
     """
     if cls is PartitionClass.A:
-        return _poch(-1, 1, 1, None, order)
+        return TruncatedSeries(_mul_poch_inf(_unit(order), -1, 1, 1), order)
     if cls is PartitionClass.B:
-        return _poch(+1, 1, 2, None, order).reciprocal()
+        return TruncatedSeries(_div_poch_inf(_unit(order), +1, 1, 2), order)
     if cls is PartitionClass.C:
         ratio = _C_FORM_RATIOS["sum_over_largest"]
         return TruncatedSeries(_sum_by_ratio(order, _unit(order), 2, ratio), order)
     if cls is PartitionClass.D:
         # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
-        first = list(_poch(-1, 1, 1, None, order).coeffs)
+        first = _mul_poch_inf(_unit(order), -1, 1, 1)
         return TruncatedSeries(_sum_by_ratio(order, first, 2, ((-1, 1, 0, -1),)), order)
     raise TypeError(f"not a partition class: {cls!r}")
 
@@ -443,6 +444,11 @@ def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(_CHAIN_STAGE_BUILDERS[stage](order), order)
 
 
+def _euler_lhs(c: int, sign: int, order: int) -> list[int]:
+    # 1/(t;q)_inf at t = sign*q^c, the product running over (1 - sign*q^(c+i))
+    return _div_poch_inf(_unit(order), sign, c, 1)
+
+
 def _euler_rhs(c: int, sign: int, order: int) -> list[int]:
     # sum_m t^m / (q;q)_m at t = sign*q^c;  T_m / T_(m-1) = q^c / (1-q^m),
     # and summand m is scaled by sign^m
@@ -467,8 +473,7 @@ def _first_failure(name: str, order: int, checks: Iterable[Check]) -> Verificati
 
 def _euler_checks(c: int, order: int) -> Iterator[Check]:
     for context, sign in (("t=q^c", +1), ("t=-q^c", -1)):
-        lhs = _poch(sign, c, 1, None, order).reciprocal()
-        yield context, 0, lhs.coeffs, _euler_rhs(c, sign, order)
+        yield context, 0, _euler_lhs(c, sign, order), _euler_rhs(c, sign, order)
 
 
 def euler_expansion_check(c: int, order: int) -> VerificationReport:
@@ -498,14 +503,14 @@ def _chain_c_checks(order: int) -> Iterator[Check]:
     base = gf_class(PartitionClass.C, order)
     for form in C_FORMS:
         yield f"form={form}", 0, gf_c_variant(form, order).coeffs, base.coeffs
-    doubled = (2 * base).coeffs
+    doubled = [2 * x for x in base.coeffs]
     for stage in CHAIN_STAGES:
         yield f"stage={stage}", 0, gf_c_chain_stage(stage, order).coeffs, doubled
 
 
 def _half_d_checks(order: int) -> Iterator[Check]:
-    lhs = 2 * gf_class(PartitionClass.C, order)
-    yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs.coeffs, _stage_final(order)
+    lhs = [2 * x for x in gf_class(PartitionClass.C, order).coeffs]
+    yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs, _stage_final(order)
 
 
 def _thm_all_checks(order: int) -> Iterator[Check]:

@@ -358,6 +358,11 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
+def slow_euler_lhs(c: int, sign: int, order: int) -> list[int]:
+    """1/(t;q)_inf at t = sign*q^c, coefficients 0..order."""
+    return list(_poch(sign, c, 1, None, order).reciprocal().coeffs)
+
+
 def slow_euler_rhs(c: int, sign: int, order: int) -> list[int]:
     """sum_m t^m/(q;q)_m at t = sign*q^c, coefficients 0..order."""
     rhs = [0] * (order + 1)

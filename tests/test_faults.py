@@ -78,18 +78,44 @@ def test_chain_stage_fault_is_reported(monkeypatch, stage):
     _assert_caught(series.verify_identity("chain_C", ORDER), K, f"stage={stage}")
 
 
+def _perturb_euler(monkeypatch, side, c, sign, k=K):
+    """Make series.<side>(c, sign, order) return q^k's coefficient plus one."""
+    original = getattr(series, side)
+
+    def patched(c_, sign_, order):
+        coeffs = original(c_, sign_, order)
+        if (c_, sign_) == (c, sign):
+            coeffs[k] += 1
+        return coeffs
+
+    monkeypatch.setattr(series, side, patched)
+
+
 @pytest.mark.parametrize("sign,context", [(1, "t=q^c"), (-1, "t=-q^c")])
 def test_euler_expansion_fault_is_reported(monkeypatch, sign, context):
-    original = series._euler_rhs
-
-    def patched(c, s, order):
-        rhs = original(c, s, order)
-        if s == sign:
-            rhs[K] += 1
-        return rhs
-
-    monkeypatch.setattr(series, "_euler_rhs", patched)
+    _perturb_euler(monkeypatch, "_euler_rhs", 2, sign)
     _assert_caught(series.euler_expansion_check(2, ORDER), K, context)
+
+
+@pytest.mark.parametrize(
+    "sign,summary",
+    [
+        (1, "euler_expansion_c2 order=30 FAIL at q^17: 67 != 66 [t=q^c]"),
+        (-1, "euler_expansion_c2 order=30 FAIL at q^17: 1 != 0 [t=-q^c]"),
+    ],
+)
+def test_euler_lhs_fault_is_reported(monkeypatch, sign, summary):
+    _perturb_euler(monkeypatch, "_euler_lhs", 2, sign)
+    assert series.euler_expansion_check(2, ORDER).summary(with_timing=False) == summary
+
+
+# The lowest comparison of thm_all, at n = 2, reads D(3).
+def test_thm_all_checks_from_n_2(monkeypatch):
+    _perturb(monkeypatch, "gf_class", D, 3)
+    report = series.verify_identity("thm_all", ORDER)
+    assert report.summary(with_timing=False) == (
+        "thm_all order=30 FAIL at q^2: 2 != 3 [2*A(n) vs D(n+1)]"
+    )
 
 
 # Two faults: a report names the first failing check in the identity's own
@@ -157,19 +183,18 @@ def test_oracle_equivalence_detail(monkeypatch):
 
 
 def test_euler_expansion_criterion_detail(monkeypatch):
-    original = series._euler_rhs
-
-    def patched(c, sign, order):
-        rhs = original(c, sign, order)
-        if c == 3 and sign == -1:
-            rhs[K] += 1
-        return rhs
-
-    monkeypatch.setattr(series, "_euler_rhs", patched)
+    _perturb_euler(monkeypatch, "_euler_rhs", 3, -1)
     result = acceptance.euler_expansion(5, ORDER)
     assert not result.passed
     assert result.detail == "euler_expansion_c3 order=30 FAIL at q^17: -1 != 0 [t=-q^c]"
 
+
+# The criterion's lowest c is 1.
+def test_euler_expansion_criterion_checks_c_1(monkeypatch):
+    _perturb_euler(monkeypatch, "_euler_rhs", 1, 1)
+    result = acceptance.euler_expansion(5, ORDER)
+    assert not result.passed
+    assert result.detail == "euler_expansion_c1 order=30 FAIL at q^17: 297 != 298 [t=q^c]"
 
 
 # ------------------------------------------------------------ listing route

@@ -3,7 +3,8 @@
 The package builders derive each summand from the previous one by in-place
 multiplication and division by factors (1 - s*q^e); oracle.py keeps the
 original builders that rebuild every summand from scratch.  Both must agree
-on every coefficient.
+on every coefficient, and the package route must not fall back on the generic
+TruncatedSeries ring at all.
 """
 
 import pytest
@@ -11,17 +12,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from eulerlab.partitions import PartitionClass
+from eulerlab import series
+from eulerlab.partitions import PartitionClass, count_table
 from eulerlab.series import (
     C_FORMS,
     CHAIN_STAGES,
+    IDENTITY_NAMES,
     TruncatedSeries,
     _div_factor,
+    _euler_lhs,
     _euler_rhs,
     _mul_factor,
+    euler_expansion_check,
     gf_c_chain_stage,
     gf_c_variant,
     gf_class,
+    verify_identity,
 )
 
 ORDERS = list(range(1, 41)) + [200, 270]
@@ -95,3 +101,28 @@ def test_euler_rhs_matches_reference(order):
     for c in range(1, 6):
         for sign in (1, -1):
             assert _euler_rhs(c, sign, order) == oracle.slow_euler_rhs(c, sign, order), (c, sign)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_euler_lhs_matches_reference(order):
+    for c in range(1, 6):
+        for sign in (1, -1):
+            assert _euler_lhs(c, sign, order) == oracle.slow_euler_lhs(c, sign, order), (c, sign)
+
+
+# ----------------------------------------------- no ring on the fast route
+
+
+def test_fast_route_uses_no_ring_operation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generic series ring used on the fast route")
+
+    monkeypatch.setattr(series, "pochhammer", forbidden)
+    for attr in ("reciprocal", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TruncatedSeries, attr, forbidden)
+    for name in IDENTITY_NAMES:
+        assert verify_identity(name, 40).passed, name
+    for c in range(1, 6):
+        assert euler_expansion_check(c, 40).passed, c
+    for cls in PartitionClass:
+        assert count_table(cls, 40, "series-coefficient") == count_table(cls, 40), cls
