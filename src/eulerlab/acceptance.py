@@ -1,14 +1,17 @@
 """The acceptance suite: every headline claim, run end to end at full scale.
 
 Each criterion returns a CriterionResult instead of raising, so the CLI
-selftest and the pytest wrappers can share one implementation.
+selftest and the pytest wrappers can share one implementation.  A criterion
+is written as a check that returns its failure detail, or "" on a pass; the
+_criterion decorator times it and names the result after it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ParamSpec, Sequence
 
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
@@ -23,7 +26,6 @@ from .partitions import (
 from .series import (
     C_FORMS,
     IDENTITY_NAMES,
-    VerificationReport,
     euler_expansion_check,
     gf_c_variant,
     verify_identity,
@@ -56,16 +58,25 @@ class CriterionResult:
     detail: str
     elapsed: float
 
-    def line(self, with_timing: bool = False) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        timing = f" ({self.elapsed:.2f}s)" if with_timing else ""
-        detail = f": {self.detail}" if (self.detail and not self.passed) else ""
-        return f"[{status}] {self.name}{timing}{detail}"
+
+_P = ParamSpec("_P")
 
 
-def golden_table() -> CriterionResult:
+def _criterion(check: Callable[_P, str]) -> Callable[_P, CriterionResult]:
+    """Run check, timed, as the criterion named after it; "" means it passed."""
+
+    @functools.wraps(check)
+    def criterion(*args: _P.args, **kwargs: _P.kwargs) -> CriterionResult:
+        t0 = perf_counter()
+        detail = check(*args, **kwargs)
+        return CriterionResult(check.__name__, not detail, detail, perf_counter() - t0)
+
+    return criterion
+
+
+@_criterion
+def golden_table() -> str:
     """The weight-6 counts and the four exact partition lists."""
-    t0 = perf_counter()
     problems = []
     for n, cls, expected in ((6, A, 4), (6, B, 4), (7, C, 4), (7, D, 8)):
         got = count_class(n, cls, "enumeration")
@@ -81,12 +92,12 @@ def golden_table() -> CriterionResult:
         got = {render(p) for p in enumerate_class(n, cls)}
         if got != expected:
             problems.append(f"list({n},{cls.value}): {sorted(got)} != {sorted(expected)}")
-    return CriterionResult("golden_table", not problems, "; ".join(problems), perf_counter() - t0)
+    return "; ".join(problems)
 
 
-def theorem_by_enumeration(n_max: int = 60) -> CriterionResult:
+@_criterion
+def theorem_by_enumeration(n_max: int = 60) -> str:
     """A(n) = B(n) = C(n+1) = D(n+1)/2 by exhaustive listing, 2 <= n <= n_max."""
-    t0 = perf_counter()
     cutoff = n_max + 1
     for n in range(2, n_max + 1):
         a = len(enumerate_class(n, A, cutoff))
@@ -94,122 +105,108 @@ def theorem_by_enumeration(n_max: int = 60) -> CriterionResult:
         c = len(enumerate_class(n + 1, C, cutoff))
         d = len(enumerate_class(n + 1, D, cutoff))
         if not (a == b == c and d == 2 * a and d % 2 == 0):
-            detail = f"n={n}: A={a} B={b} C(n+1)={c} D(n+1)={d}"
-            return CriterionResult("theorem_by_enumeration", False, detail, perf_counter() - t0)
-    return CriterionResult("theorem_by_enumeration", True, "", perf_counter() - t0)
+            return f"n={n}: A={a} B={b} C(n+1)={c} D(n+1)={d}"
+    return ""
 
 
-def _first_failed_report(name: str, reports: Iterable[VerificationReport]) -> CriterionResult:
-    """Fail with the summary of the first failing report; reports is lazy."""
-    t0 = perf_counter()
-    for report in reports:
-        if not report.passed:
-            detail = report.summary(with_timing=False)
-            return CriterionResult(name, False, detail, perf_counter() - t0)
-    return CriterionResult(name, True, "", perf_counter() - t0)
-
-
-def theorem_by_series(order: int = 200) -> CriterionResult:
+@_criterion
+def theorem_by_series(order: int = 200) -> str:
     """All five identity checks by series coefficients at the given order."""
     reports = (verify_identity(name, order) for name in IDENTITY_NAMES)
-    return _first_failed_report("theorem_by_series", reports)
+    return next((r.summary() for r in reports if not r.passed), "")
 
 
-def c_forms_match_b(order: int = 200) -> CriterionResult:
+@_criterion
+def c_forms_match_b(order: int = 200) -> str:
     """coeff(gf_C, n+1) = B(n) for 1 <= n <= order-1, in all three C forms."""
-    t0 = perf_counter()
     b_values = count_table(B, order - 1, "dynamic-program")
     for form in C_FORMS:
         coeffs = gf_c_variant(form, order).coeffs
         for n in range(1, order):
             if coeffs[n + 1] != b_values[n]:
-                detail = f"form={form} n={n}: {coeffs[n + 1]} != {b_values[n]}"
-                return CriterionResult("c_forms_match_b", False, detail, perf_counter() - t0)
-    return CriterionResult("c_forms_match_b", True, "", perf_counter() - t0)
+                return f"form={form} n={n}: {coeffs[n + 1]} != {b_values[n]}"
+    return ""
 
 
-def chain_stages(order: int = 200) -> CriterionResult:
+@_criterion
+def chain_stages(order: int = 200) -> str:
     """All five doubled chain stages equal 2*gf_C, and 2*gf_C = gf_D + 1 - q."""
     reports = (verify_identity(name, order) for name in ("chain_C", "half_D"))
-    return _first_failed_report("chain_stages", reports)
+    return next((r.summary() for r in reports if not r.passed), "")
 
 
-def euler_expansion(max_c: int = 5, order: int = 100) -> CriterionResult:
+@_criterion
+def euler_expansion(max_c: int = 5, order: int = 100) -> str:
     """The reciprocal-product expansion at t = q^c and t = -q^c, c = 1..max_c."""
     reports = (euler_expansion_check(c, order) for c in range(1, max_c + 1))
-    return _first_failed_report("euler_expansion", reports)
+    return next((r.summary() for r in reports if not r.passed), "")
 
 
-def bijection_suite(max_weight: int = 40) -> CriterionResult:
+@_criterion
+def bijection_suite(max_weight: int = 40) -> str:
     """Exhaustive round trips, image classes, and fiber sizes up to max_weight."""
-    t0 = perf_counter()
-
-    def done(detail: str) -> CriterionResult:
-        return CriterionResult("bijection_suite", False, detail, perf_counter() - t0)
-
     for n in range(0, max_weight + 1):
         for p in enumerate_class(n, A):
             image = glaisher_to_odd(p)
             if image.weight != n or not is_in_class(image, B):
-                return done(f"glaisher_to_odd({p}) bad image {image}")
+                return f"glaisher_to_odd({p}) bad image {image}"
             if glaisher_to_distinct(image) != p:
-                return done(f"glaisher round trip failed at {p}")
+                return f"glaisher round trip failed at {p}"
         for p in enumerate_class(n, B):
             image = glaisher_to_distinct(p)
             if image.weight != n or not is_in_class(image, A):
-                return done(f"glaisher_to_distinct({p}) bad image {image}")
+                return f"glaisher_to_distinct({p}) bad image {image}"
             if glaisher_to_odd(image) != p:
-                return done(f"glaisher inverse round trip failed at {p}")
+                return f"glaisher inverse round trip failed at {p}"
             if n >= 1:
                 up = b_to_c(p)
                 if up.weight != n + 1 or not is_in_class(up, C):
-                    return done(f"b_to_c({p}) bad image {up}")
+                    return f"b_to_c({p}) bad image {up}"
                 if c_to_b(up) != p:
-                    return done(f"b_to_c then c_to_b failed at {p}")
+                    return f"b_to_c then c_to_b failed at {p}"
         for p in enumerate_class(n, C):
             image = c_to_b(p)
             if image.weight != n - 1 or not is_in_class(image, B):
-                return done(f"c_to_b({p}) bad image {image}")
+                return f"c_to_b({p}) bad image {image}"
             if image.parts[0] != p.parts[0] - 1:
-                return done(f"c_to_b({p}) largest part {image.parts[0]}")
+                return f"c_to_b({p}) largest part {image.parts[0]}"
             if b_to_c(image) != p:
-                return done(f"c_to_b then b_to_c failed at {p}")
+                return f"c_to_b then b_to_c failed at {p}"
 
     for n in range(2, max_weight + 1):
         fibers = set()
         for p in enumerate_class(n, D):
             mu, tag = d_reduce(p)
             if mu.weight != n - 1 or not is_in_class(mu, A):
-                return done(f"d_reduce({p}) bad image {mu}")
+                return f"d_reduce({p}) bad image {mu}"
             if d_lift(mu, tag.bit) != p:
-                return done(f"d_reduce then d_lift failed at {p}")
+                return f"d_reduce then d_lift failed at {p}"
             fibers.add((mu.parts, tag.bit))
         expected = {
             (mu.parts, bit) for mu in enumerate_class(n - 1, A) for bit in (0, 1)
         }
         if fibers != expected:
-            return done(f"fiber structure off at weight {n}")
+            return f"fiber structure off at weight {n}"
 
     for n in range(1, max_weight + 1):
         images = sorted(c_to_b(p).parts for p in enumerate_class(n + 1, C))
         targets = sorted(p.parts for p in enumerate_class(n, B))
         if images != targets:
-            return done(f"c_to_b image set differs from class B at weight {n}")
+            return f"c_to_b image set differs from class B at weight {n}"
 
-    return CriterionResult("bijection_suite", True, "", perf_counter() - t0)
+    return ""
 
 
-def oracle_equivalence(n_max: int = 30) -> CriterionResult:
+@_criterion
+def oracle_equivalence(n_max: int = 30) -> str:
     """Enumeration, dynamic program, and series coefficients agree to n_max."""
-    t0 = perf_counter()
     for cls in PartitionClass:
         tables = {m: count_table(cls, n_max, m) for m in COUNT_METHODS}
         for n in range(n_max + 1):
             values = {m: tables[m][n] for m in COUNT_METHODS}
             if len(set(values.values())) != 1:
-                detail = f"class {cls.value}, n={n}: {values}"
-                return CriterionResult("oracle_equivalence", False, detail, perf_counter() - t0)
-    return CriterionResult("oracle_equivalence", True, "", perf_counter() - t0)
+                return f"class {cls.value}, n={n}: {values}"
+    return ""
 
 
 CRITERIA: dict[str, Callable[[], CriterionResult]] = {

@@ -38,7 +38,8 @@ from .series import (
 
 DEFAULT_ORDER = 200
 MAX_CUTOFF = 100
-# Largest --order and --n accepted.  On a 2-vCPU Xeon the slowest command at
+# Largest --order, --n and map input weight accepted (Glaisher's split makes
+# 2^k parts of one part 2^k).  On a 2-vCPU Xeon the slowest command at
 # --order 2000 is verify --identity chain_C, about 7 s (O(N^2) series builds).
 # At --n 1000 every count by dynamic program or series coefficient takes at
 # most 0.3 s in a fresh interpreter, of which 0.16 s is start-up: both routes
@@ -168,6 +169,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     name = args.bijection
     p = parse_partition(args.partition, allow_zeros=name == "d-reduce")
+    if p.weight > MAX_N:
+        raise UsageError(f"partition weight must be at most {MAX_N}")
     record = {"type": "map", "bijection": name, "input": list(p.parts)}
     if name == "glaisher":
         image, out_cls = glaisher_to_odd(p), PartitionClass.B

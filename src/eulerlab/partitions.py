@@ -55,12 +55,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def multiplicities(self) -> Counter[int]:
         return Counter(self.parts)
 
@@ -301,18 +295,14 @@ def _div_binomial(c: list[int], e: int) -> None:
 def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     """Counting table values[0..n_max] for one class, by dynamic program."""
     if cls is PartitionClass.A:
-        dp = [0] * (n_max + 1)
-        dp[0] = 1
+        dp = [1] + [0] * n_max
         for k in range(1, n_max + 1):
-            for j in range(n_max, k - 1, -1):
-                dp[j] += dp[j - k]
+            _mul_binomial(dp, -1, k)
         return dp
     if cls is PartitionClass.B:
-        dp = [0] * (n_max + 1)
-        dp[0] = 1
+        dp = [1] + [0] * n_max
         for k in range(1, n_max + 1, 2):
-            for j in range(k, n_max + 1):
-                dp[j] += dp[j - k]
+            _div_binomial(dp, k)
         return dp
     if cls is PartitionClass.C:
         # Condition on the largest part 2N: one copy of 2N is placed, parts in
@@ -360,10 +350,6 @@ def count_class(
     """
     if n < 0:
         raise ValueError("weight must be non-negative")
-    if method == METHOD_ENUMERATION:
-        if cls is PartitionClass.C and n == 0:
-            return 1  # counting-layer convention; the predicate excludes the empty partition
-        return len(enumerate_class(n, cls, cutoff))
     return count_table(cls, n, method, cutoff)[n]
 
 
@@ -379,7 +365,9 @@ def count_table(
     if method == METHOD_DYNAMIC_PROGRAM:
         values = _dp_counts(cls, n_max)
     elif method == METHOD_ENUMERATION:
-        values = [count_class(n, cls, METHOD_ENUMERATION, cutoff) for n in range(n_max + 1)]
+        values = [len(enumerate_class(n, cls, cutoff)) for n in range(n_max + 1)]
+        if cls is PartitionClass.C:
+            values[0] = 1  # counting-layer convention; the predicate excludes the empty partition
     elif method == METHOD_SERIES_COEFFICIENT:
         from .series import gf_class  # deferred; series builds on this module
 

@@ -242,15 +242,13 @@ def _unit(order: int) -> list[int]:
     return [1] + [0] * order
 
 
-def _add_scaled(target: list[int], coeffs: Sequence[int], shift: int, factor: int = 1) -> None:
-    """target += factor * q^shift * coeffs, truncated at len(target)."""
+def _add_scaled(target: list[int], coeffs: Sequence[int], shift: int, sign: int = 1) -> None:
+    """target += sign * q^shift * coeffs, truncated at len(target); sign is +1 or -1."""
     end = shift + len(coeffs)
-    if factor == 1:
+    if sign == 1:
         target[shift:end] = [x + y for x, y in zip(target[shift:end], coeffs)]
-    elif factor == -1:
-        target[shift:end] = [x - y for x, y in zip(target[shift:end], coeffs)]
     else:
-        target[shift:end] = [x + factor * y for x, y in zip(target[shift:end], coeffs)]
+        target[shift:end] = [x - y for x, y in zip(target[shift:end], coeffs)]
 
 
 def _sum_by_ratio(
@@ -258,18 +256,16 @@ def _sum_by_ratio(
     first: list[int],
     gap: int,
     ratio: Ratio,
-    with_first: bool = True,
     scale: int = 1,
 ) -> list[int]:
-    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) T_n.
+    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) T_n, scale +1 or -1.
 
     T_0 is `first`, which is consumed; T_n is T_(n-1) times the factors of
     `ratio` at n, applied in place.  T_n is carried only to relative order
-    order - gap*n, so later terms are shorter.  with_first=False leaves T_0
-    out of the sum.
+    order - gap*n, so later terms are shorter.
     """
     factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
-    out = first[:] if with_first else [0] * (order + 1)
+    out = first[:]
     term = first
     n = 1
     while gap * n <= order:
@@ -309,14 +305,13 @@ class VerificationReport:
     rhs: int | None = None
     context: str = ""
 
-    def summary(self, with_timing: bool = True) -> str:
-        timing = f" ({self.elapsed:.3f}s)" if with_timing else ""
+    def summary(self) -> str:
         if self.passed:
-            return f"{self.name} order={self.order} PASS{timing}"
+            return f"{self.name} order={self.order} PASS"
         where = f" [{self.context}]" if self.context else ""
         return (
             f"{self.name} order={self.order} FAIL at q^{self.exponent}: "
-            f"{self.lhs} != {self.rhs}{where}{timing}"
+            f"{self.lhs} != {self.rhs}{where}"
         )
 
 
@@ -342,18 +337,16 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def gf_c_variant(form: str, order: int, include_constant: bool = True) -> TruncatedSeries:
+def gf_c_variant(form: str, order: int) -> TruncatedSeries:
     """One of the three equivalent sum forms of the class-C generating function.
 
     Each summand is indexed by half the largest part; the three forms differ
     only in how the finite products are arranged.  All include the constant
-    1 (the summand at index 0) unless include_constant=False, which gives
-    the sum starting at index 1.
+    1, the summand at index 0.
     """
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
-    coeffs = _sum_by_ratio(order, _unit(order), 2, _C_FORM_RATIOS[form], include_constant)
-    return TruncatedSeries(coeffs, order)
+    return TruncatedSeries(_sum_by_ratio(order, _unit(order), 2, _C_FORM_RATIOS[form]), order)
 
 
 def _inner_m_sum(order: int, gap: int) -> list[int]:
@@ -388,18 +381,18 @@ def _stage_double_sum(order: int) -> list[int]:
 
 def _stage_split_sum(order: int) -> list[int]:
     # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):
-    # the doubled halving trick; odd n carry weight 0 and contribute nothing.
+    # the doubled halving trick; the weight 1 + (-1)^n is 2 for even n and 0
+    # for odd n, so only even n contribute, and the 2 is applied once at the end.
     # Grouped by n with J_n = sum_m q^(m(n+2)) / (q^2;q^2)_m and folded by
-    # Horner from the top n: H_n = (1 + (-1)^n) J_n + q H_(n+1) / (1-q^(n+1)).
+    # Horner from the top n: H_n = [n even] J_n + q H_(n+1) / (1-q^(n+1)).
     h: list[int] = []
     for n in range(order, -1, -1):
         mo = order - n
         h = ([0] + h)[: mo + 1]
         _div_factor(h, +1, n + 1)
-        weight = 1 + (-1) ** n
-        if weight:
-            _add_scaled(h, _inner_m_sum(mo, n + 2), 0, weight)
-    return _mul_poch_inf(h, +1, 2, 2)
+        if n % 2 == 0:
+            _add_scaled(h, _inner_m_sum(mo, n + 2), 0)
+    return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
 
 
 def _stage_bracket_reciprocals(order: int) -> list[int]:

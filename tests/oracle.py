@@ -256,12 +256,11 @@ def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def slow_c_variant(form: str, order: int, include_constant: bool = True) -> TruncatedSeries:
+def slow_c_variant(form: str, order: int) -> TruncatedSeries:
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
     out = [0] * (order + 1)
-    if include_constant:
-        out[0] = 1
+    out[0] = 1
     n = 1
     while 2 * n <= order:
         m = order - 2 * n

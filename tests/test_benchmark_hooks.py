@@ -3,7 +3,10 @@
 perfbench/worker.py rebinds named functions (Tracer.install and
 OutputCheck.install) and stops when a name is bound nowhere.  One small
 traced pass in a subprocess makes such a rename fail here rather than in a
-benchmark run.  The pass reads the tree and writes nothing.
+benchmark run.  The pass checks its inner results (listings, series, map
+images) against perfbench/reference.json, so a changed inner result fails
+here too; a seeded fault shows that this check is not vacuous.  The passes
+read the tree and write nothing.
 """
 
 import json
@@ -14,17 +17,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Every inner result these requests compute at the keys below has a
+# recorded value in reference.json.
+REQUESTS = [
+    ["verify", "chain_C", 30],
+    ["criterion", "golden_table", {}],
+    ["cli", ["count", "--class", "C", "--n", "7"]],
+    ["stage", "split_sum", 200],
+    ["criterion", "bijection_suite", {"max_weight": 12}],
+    ["cli", ["map", "--bijection", "d-reduce", "10+6+4+3"]],
+]
 
-def test_worker_runs_a_traced_pass():
-    spec = {
-        "requests": [
-            ["verify", "chain_C", 30],
-            ["criterion", "golden_table", {}],
-            ["cli", ["count", "--class", "C", "--n", "7"]],
-        ],
-        "trace": True,
-        "outputs": {},
-    }
+
+def _reference_outputs() -> dict:
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        return json.load(fh)["outputs"]
+
+
+def _run_pass(trace: bool, fault=None) -> dict:
+    spec = {"requests": REQUESTS, "trace": trace, "fault": fault, "outputs": _reference_outputs()}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py")],
         input=json.dumps(spec),
@@ -35,7 +46,18 @@ def test_worker_runs_a_traced_pass():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_worker_runs_a_traced_pass():
+    result = _run_pass(trace=True)
     assert "layers" in result
-    assert result["layers"]["cli.build_parser.calls"] == 1
-    assert result["mismatches"] == [0, 0, 0]
+    assert result["layers"]["cli.build_parser.calls"] == 2
+    assert result["mismatches"] == [0] * len(REQUESTS)
+
+
+def test_worker_reports_a_wrong_inner_result():
+    # Lists every class in lex increasing order: each count and set the
+    # criteria check still holds, so only the inner-result check sees it.
+    result = _run_pass(trace=False, fault="enumerate_order")
+    assert any(result["mismatches"]), result["mismatches"]

@@ -223,6 +223,30 @@ def test_map_d_lift_needs_bit(capsys):
     assert "--bit" in err
 
 
+def test_map_weight_at_limit(capsys):
+    code, out, _ = run(capsys, "map", "--bijection", "glaisher", str(MAX_N))
+    assert code == 0
+    assert out == "+".join(["125"] * 8) + "\n"  # 1000 = 2^3 * 125
+
+
+@pytest.mark.parametrize(
+    "bijection,text",
+    [
+        ("glaisher", str(MAX_N + 1)),
+        ("d-reduce", f"0+0+{MAX_N + 1}"),
+        ("glaisher", str(2**40)),
+        ("c2b", f"{2**40}+{2**40}"),
+    ],
+)
+def test_map_weight_above_limit_exit_2(capsys, bijection, text):
+    # Glaisher's split makes 2^k parts of the part 2^k: unbounded, 2^40 ran
+    # out of memory.
+    code, out, err = run(capsys, "map", "--bijection", bijection, text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: partition weight must be at most {MAX_N}\n"
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -106,14 +106,14 @@ def test_euler_expansion_fault_is_reported(monkeypatch, sign, context):
 )
 def test_euler_lhs_fault_is_reported(monkeypatch, sign, summary):
     _perturb_euler(monkeypatch, "_euler_lhs", 2, sign)
-    assert series.euler_expansion_check(2, ORDER).summary(with_timing=False) == summary
+    assert series.euler_expansion_check(2, ORDER).summary() == summary
 
 
 # The lowest comparison of thm_all, at n = 2, reads D(3).
 def test_thm_all_checks_from_n_2(monkeypatch):
     _perturb(monkeypatch, "gf_class", D, 3)
     report = series.verify_identity("thm_all", ORDER)
-    assert report.summary(with_timing=False) == (
+    assert report.summary() == (
         "thm_all order=30 FAIL at q^2: 2 != 3 [2*A(n) vs D(n+1)]"
     )
 
@@ -125,7 +125,7 @@ def test_chain_c_reports_forms_before_stages(monkeypatch):
     _perturb(monkeypatch, "gf_c_variant", "even_poch_ratio", 20)
     _perturb(monkeypatch, "gf_c_chain_stage", "factored", 5)
     report = series.verify_identity("chain_C", ORDER)
-    assert report.summary(with_timing=False) == (
+    assert report.summary() == (
         "chain_C order=30 FAIL at q^20: 55 != 54 [form=even_poch_ratio]"
     )
 
@@ -134,7 +134,7 @@ def test_thm_all_reports_by_n_then_comparison(monkeypatch):
     _perturb(monkeypatch, "gf_class", D, 10)
     _perturb(monkeypatch, "gf_class", B, 20)
     report = series.verify_identity("thm_all", ORDER)
-    assert report.summary(with_timing=False) == (
+    assert report.summary() == (
         "thm_all order=30 FAIL at q^9: 16 != 17 [2*A(n) vs D(n+1)]"
     )
 

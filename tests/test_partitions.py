@@ -215,10 +215,11 @@ def test_class_c_dp_matches_cubic_reference():
         assert partitions._dp_counts(C, n_max) == oracle.slow_dp_counts_c(n_max), n_max
 
 
-def test_class_c_dp_matches_series_at_max_n():
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_dp_matches_series_at_max_n(cls):
     # The cubic reference would take seconds here; the series route is the
     # independent check at the CLI's largest --n.
-    assert tuple(partitions._dp_counts(C, 1000)) == gf_class(C, 1000).coeffs
+    assert tuple(partitions._dp_counts(cls, 1000)) == gf_class(cls, 1000).coeffs
 
 
 def test_count_d_range_from_reduction_identity():

@@ -202,13 +202,6 @@ def test_c_variant_shift_matches_b():
             assert series.coeff(n + 1) == b_counts[n]
 
 
-def test_c_variant_constant_free():
-    for form in C_FORMS:
-        bare = gf_c_variant(form, 20, include_constant=False)
-        assert bare.coeff(0) == 0
-        assert bare + TruncatedSeries.one(20) == gf_c_variant(form, 20)
-
-
 def test_c_variant_unknown_form():
     with pytest.raises(ValueError):
         gf_c_variant("fancy", 10)
