@@ -17,7 +17,6 @@ from .partitions import (
     Partition,
     PartitionClass,
     PartitionParseError,
-    count_class,
     count_table,
     enumerate_class,
     is_in_class,
@@ -54,7 +53,6 @@ __all__ = [
     "VerificationReport",
     "b_to_c",
     "c_to_b",
-    "count_class",
     "count_table",
     "d_lift",
     "d_reduce",

@@ -30,6 +30,7 @@ from .series import (
     C_FORMS,
     CHAIN_STAGES,
     IDENTITY_NAMES,
+    VerificationReport,
     gf_c_chain_stage,
     gf_c_variant,
     gf_class,
@@ -50,6 +51,8 @@ MAX_N = 1000
 
 CLASS_LETTERS = tuple(cls.value for cls in PartitionClass)
 BIJECTIONS = ("glaisher", "glaisher-inv", "d-reduce", "d-lift", "c2b", "b2c")
+# The fields of a verify record, each read from and into a VerificationReport.
+VERIFY_FIELDS = ("name", "order", "passed", "exponent", "lhs", "rhs", "context")
 
 
 class UsageError(ValueError):
@@ -108,13 +111,7 @@ def record_to_plain(record: dict) -> str:
             return f"{rendered} (case {record['case_number']}, bit {record['bit']})"
         return rendered
     if kind == "verify":
-        if record["passed"]:
-            return f"{record['name']} order={record['order']} PASS"
-        where = f" [{record['context']}]" if record.get("context") else ""
-        return (
-            f"{record['name']} order={record['order']} FAIL at q^{record['exponent']}: "
-            f"{record['lhs']} != {record['rhs']}{where}"
-        )
+        return VerificationReport(elapsed=0.0, **{k: record[k] for k in VERIFY_FIELDS}).summary()
     if kind == "series":
         return f"{record['exponent']}\t{record['coefficient']}"
     if kind == "selftest":
@@ -195,29 +192,19 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_identity(args.identity, args.order)
-    record = {
-        "type": "verify",
-        "name": report.name,
-        "order": report.order,
-        "passed": report.passed,
-        "exponent": report.exponent,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "context": report.context,
-    }
+    record = {"type": "verify", **{k: getattr(report, k) for k in VERIFY_FIELDS}}
     _emit([record], args.format)
     return 0 if report.passed else 1
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    if args.cls:
+    # argparse's required group gives exactly one of --class, --form, --stage
+    if args.cls is not None:
         series = gf_class(PartitionClass(args.cls), args.order)
     elif args.form is not None:
         series = gf_c_variant(args.form, args.order)
-    elif args.stage is not None:
-        series = gf_c_chain_stage(args.stage, args.order)
     else:
-        raise UsageError("series needs one of --class, --form, --stage")
+        series = gf_c_chain_stage(args.stage, args.order)
     records = [
         {"type": "series", "exponent": n, "coefficient": c}
         for n, c in enumerate(series.coeffs)
@@ -233,7 +220,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             "type": "selftest",
             "criterion": r.name,
             "passed": r.passed,
-            "detail": r.detail if not r.passed else "",
+            "detail": r.detail,
         }
         for r in results
     ]

@@ -337,34 +337,24 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def count_class(
-    n: int,
-    cls: PartitionClass,
-    method: str = METHOD_DYNAMIC_PROGRAM,
-    cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
-) -> int:
-    """Number of weight-n partitions in the class, by the chosen method.
-
-    All three methods agree everywhere, including the convention values
-    C(0)=1, C(1)=0, D(0)=1, D(1)=1.
-    """
-    if n < 0:
-        raise ValueError("weight must be non-negative")
-    return count_table(cls, n, method, cutoff)[n]
-
-
 def count_table(
     cls: PartitionClass,
     n_max: int,
     method: str = METHOD_DYNAMIC_PROGRAM,
     cutoff: int = DEFAULT_ENUMERATION_CUTOFF,
 ) -> tuple[int, ...]:
-    """Counts of the class for n = 0..n_max, in one pass."""
+    """Counts of the class for n = 0..n_max, in one pass.
+
+    All three methods agree everywhere, including the convention values
+    C(0)=1, C(1)=0, D(0)=1, D(1)=1.
+    """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if method == METHOD_DYNAMIC_PROGRAM:
         values = _dp_counts(cls, n_max)
     elif method == METHOD_ENUMERATION:
+        if n_max > cutoff:  # refuse before listing the weights up to the cutoff
+            raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
         values = [len(enumerate_class(n, cls, cutoff)) for n in range(n_max + 1)]
         if cls is PartitionClass.C:
             values[0] = 1  # counting-layer convention; the predicate excludes the empty partition

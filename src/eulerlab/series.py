@@ -359,7 +359,7 @@ def _stage_factored(order: int) -> list[int]:
     # T_0 = 1/(q^2;q^2)_inf; T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n))),
     # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.
     first = _div_poch_inf(_unit(order), +1, 2, 2)
-    ratio = ((1, 2, 0, 1), (1, 2, -1, -1), (1, 2, 0, -1))
+    ratio = _C_FORM_RATIOS["even_poch_ratio"]
     acc = _mul_poch_inf(_sum_by_ratio(order, first, 2, ratio), +1, 2, 2)
     return [2 * x for x in acc]
 

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from eulerlab import series
 from eulerlab.cli import MAX_N, MAX_ORDER, main, parse_n_range, record_to_plain
+from eulerlab.partitions import PartitionClass
+from eulerlab.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -346,6 +349,29 @@ def test_json_lines_round_trip_to_plain(capsys, argv):
     assert code_plain == code_json
     regenerated = [record_to_plain(json.loads(line)) for line in jsonl.splitlines()]
     assert regenerated == plain.splitlines()
+
+
+def test_failing_verify_round_trips_to_plain(capsys, monkeypatch):
+    original = series.gf_class
+
+    def perturbed(cls, order):
+        result = original(cls, order)
+        if cls is not PartitionClass.C:
+            return result
+        coeffs = list(result.coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries(coeffs, result.order)
+
+    monkeypatch.setattr(series, "gf_class", perturbed)
+    argv = ("verify", "--identity", "half_D", "--order", "30")
+    code_plain, plain, _ = run(capsys, *argv, "--format", "plain")
+    code_json, jsonl, _ = run(capsys, *argv, "--format", "json-lines")
+    assert code_plain == code_json == 1
+    record = json.loads(jsonl)
+    assert record["context"]
+    assert record_to_plain(record) + "\n" == plain
+    # Keys beyond the verify fields are ignored.
+    assert record_to_plain({**record, "elapsed_s": 0.5}) + "\n" == plain
 
 
 def test_selftest_single_criterion(capsys):

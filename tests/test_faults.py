@@ -4,9 +4,9 @@ The series tests wrap one builder so that its coefficient of q^k comes out
 one too large, then assert that the check reports exactly that exponent and
 the exact context string.  The listing tests drop one partition from one
 class generator, or send one input of one map to a wrong image, and assert
-the exact detail of the listing criterion.  The counting test adds one to a
-dynamic-program count and asserts the detail of oracle_equivalence.  So no
-check passes vacuously.
+the exact detail of the listing criterion or of golden_table.  The counting
+test adds one to a dynamic-program count and asserts the detail of
+oracle_equivalence.  So no check passes vacuously.
 """
 
 import pytest
@@ -235,6 +235,18 @@ def test_dropped_partition_is_reported(monkeypatch, cls, theorem_detail, suite_d
     suite = acceptance.bijection_suite(20)
     assert not suite.passed
     assert suite.detail == suite_detail
+
+
+def test_golden_table_detail(monkeypatch):
+    # The first class-D partition of weight 7 is 7 itself, rendered 0+0+7.
+    _drop_one(monkeypatch, D, 7)
+    result = acceptance.golden_table()
+    assert not result.passed
+    assert result.detail == (
+        "count(7,D)=7, expected 8; list(7,D): "
+        "['0+0+4+2+1', '0+0+4+3', '0+0+5+2', '0+0+6+1', '1+1+2+3', '1+1+5', '2+2+3'] != "
+        "['0+0+4+2+1', '0+0+4+3', '0+0+5+2', '0+0+6+1', '0+0+7', '1+1+2+3', '1+1+5', '2+2+3']"
+    )
 
 
 def P(*parts):

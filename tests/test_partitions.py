@@ -10,7 +10,6 @@ from eulerlab.partitions import (
     Partition,
     PartitionClass,
     PartitionParseError,
-    count_class,
     count_table,
     enumerate_class,
     is_in_class,
@@ -172,7 +171,7 @@ def test_enumerate_cutoff():
     assert enumerate_class(61, A, cutoff=61)  # explicit raise of the cutoff works
 
 
-# ------------------------------------------------------------- count_class
+# ------------------------------------------------------------- count_table
 
 
 @pytest.mark.parametrize(
@@ -181,24 +180,39 @@ def test_enumerate_cutoff():
 )
 @pytest.mark.parametrize("method", ["enumeration", "dynamic-program", "series-coefficient"])
 def test_count_examples_all_methods(n, cls, expected, method):
-    assert count_class(n, cls, method) == expected
+    assert count_table(cls, n, method)[n] == expected
 
 
 def test_count_conventions():
-    assert count_class(0, D) == 1
-    assert count_class(1, D) == 1
-    assert count_class(0, A) == 1
-    assert count_class(0, B) == 1
+    assert count_table(D, 0)[0] == 1
+    assert count_table(D, 1)[1] == 1
+    assert count_table(A, 0)[0] == 1
+    assert count_table(B, 0)[0] == 1
 
 
 def test_count_unknown_method():
     with pytest.raises(ValueError):
-        count_class(5, A, "guesswork")
+        count_table(A, 5, "guesswork")
 
 
 def test_count_enumeration_respects_cutoff():
     with pytest.raises(CapacityError):
-        count_class(75, A, "enumeration")
+        count_table(A, 75, "enumeration")
+
+
+def test_count_enumeration_refuses_before_listing(monkeypatch):
+    calls = []
+    original = partitions._GENERATORS[A]
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setitem(partitions._GENERATORS, A, counting)
+    with pytest.raises(CapacityError) as excinfo:
+        count_table(A, 12, "enumeration", 10)
+    assert str(excinfo.value) == "weight 11 exceeds enumeration cutoff 10"
+    assert calls == []
 
 
 @pytest.mark.parametrize("cls", list(PartitionClass))
@@ -207,7 +221,7 @@ def test_count_matches_oracle(cls):
         expected = oracle.brute_count(n, cls.value)
         if cls is C and n == 0:
             expected = 1  # counting convention
-        assert count_class(n, cls, "dynamic-program") == expected
+        assert count_table(cls, n, "dynamic-program")[n] == expected
 
 
 def test_class_c_dp_matches_cubic_reference():
@@ -225,9 +239,9 @@ def test_dp_matches_series_at_max_n(cls):
 def test_count_d_range_from_reduction_identity():
     # Independent oracle: count via enumeration, then confirm the doubling
     # relation against the enumerated distinct-part counts.
-    got = [count_class(n, D, "enumeration") for n in range(2, 9)]
+    got = [count_table(D, n, "enumeration")[n] for n in range(2, 9)]
     assert got == [2, 2, 4, 4, 6, 8, 10]
-    doubled = [2 * count_class(n - 1, A, "enumeration") for n in range(2, 9)]
+    doubled = [2 * count_table(A, n - 1, "enumeration")[n - 1] for n in range(2, 9)]
     assert got == doubled
 
 
@@ -241,10 +255,10 @@ def test_count_table_methods_agree():
 
 def test_theorem_at_small_scale_by_enumeration():
     for n in range(2, 26):
-        a = count_class(n, A, "enumeration")
-        assert a == count_class(n, B, "enumeration")
-        assert a == count_class(n + 1, C, "enumeration")
-        d = count_class(n + 1, D, "enumeration")
+        a = count_table(A, n, "enumeration")[n]
+        assert a == count_table(B, n, "enumeration")[n]
+        assert a == count_table(C, n + 1, "enumeration")[n + 1]
+        d = count_table(D, n + 1, "enumeration")[n + 1]
         assert d == 2 * a
         assert d % 2 == 0
 
