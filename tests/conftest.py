@@ -1,0 +1,17 @@
+import pytest
+
+from eulerlab import series
+
+CACHED_BUILDERS = (series.gf_class, series.gf_c_variant, series.gf_c_chain_stage)
+
+
+@pytest.fixture(autouse=True)
+def fresh_series_cache():
+    """Start every test with empty builder caches.
+
+    A series cached by an earlier test would hide a fault a later test seeds
+    (the final chain stage holds a built gf(D)), and a warm entry would let a
+    test of the build route pass without building anything.
+    """
+    for builder in CACHED_BUILDERS:
+        builder.cache_clear()

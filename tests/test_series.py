@@ -3,10 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
+from eulerlab import series
 from eulerlab.partitions import PartitionClass, count_table
 from eulerlab.series import (
     C_FORMS,
     CHAIN_STAGES,
+    IDENTITY_NAMES,
     InvertibilityError,
     PochSpec,
     TruncatedSeries,
@@ -63,6 +65,16 @@ def test_monomial_and_truncate():
     assert S(1, 2, 3, 4).truncate(1) == S(1, 2)
     with pytest.raises(ValueError):
         S(1, 2).truncate(5)
+
+
+def test_series_is_immutable():
+    s = S(1, 2, 3)
+    for attr, value in (("order", 1), ("coeffs", (1, 2)), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(s, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(s, attr)
+    assert s == S(1, 2, 3) and s.order == 2
 
 
 small_ints = st.integers(-9, 9)
@@ -292,3 +304,62 @@ def test_report_summary_mentions_failure_point():
     text = report.summary()
     assert "q^4" in text and "7 != 8" in text and "lhs vs rhs" in text
 
+
+# ------------------------------------------------------------ builder cache
+
+# (builder, first argument, oracle builder) for every cached series of an order
+BUILDS = (
+    [(gf_class, cls, oracle.slow_gf_class) for cls in PartitionClass]
+    + [(gf_c_variant, form, oracle.slow_c_variant) for form in C_FORMS]
+    + [(gf_c_chain_stage, stage, oracle.slow_chain_stage) for stage in CHAIN_STAGES]
+)
+
+
+def test_identities_build_each_series_once():
+    for name in IDENTITY_NAMES:
+        assert verify_identity(name, 30).passed, name
+    assert gf_class.cache_info().misses == len(PartitionClass)
+    assert gf_c_variant.cache_info().misses == len(C_FORMS)
+    assert gf_c_chain_stage.cache_info().misses == len(CHAIN_STAGES)
+
+
+def test_cached_series_match_reference():
+    for order in range(1, 41):
+        for builder, arg, slow in BUILDS:
+            builder(arg, order)
+            hits = builder.cache_info().hits
+            assert builder(arg, order) == slow(arg, order), (arg, order)
+            assert builder.cache_info().hits == hits + 1
+
+
+def test_fault_is_seen_through_a_warm_cache(monkeypatch):
+    # shift_BC caches gf(C); a fault wrapped around the public name afterwards
+    # still reaches chain_C, which is served the cached series.
+    assert verify_identity("shift_BC", 30).passed
+    original = series.gf_class
+
+    def patched(cls, order):
+        result = original(cls, order)
+        if cls is not C:
+            return result
+        coeffs = list(result.coeffs)
+        coeffs[17] += 1
+        return TruncatedSeries(coeffs, result.order)
+
+    monkeypatch.setattr(series, "gf_class", patched)
+    hits = gf_class.cache_info().hits
+    report = verify_identity("chain_C", 30)
+    assert gf_class.cache_info().hits > hits
+    assert not report.passed
+    assert (report.exponent, report.context) == (17, "form=sum_over_largest")
+
+
+def test_cache_stays_bounded():
+    # 300 to 500 distinct keys per builder: each cache fills to its bound and
+    # grows no further.
+    for order in range(100):
+        for builder, arg, _ in BUILDS:
+            builder(arg, order)
+    for builder in (gf_class, gf_c_variant, gf_c_chain_stage):
+        info = builder.cache_info()
+        assert info.currsize == info.maxsize == series._BUILD_CACHE_SIZE
