@@ -25,15 +25,12 @@ from .partitions import (
     render_class_d,
 )
 from .series import (
-    InvertibilityError,
-    PochSpec,
     TruncatedSeries,
     VerificationReport,
     euler_expansion_check,
     gf_c_chain_stage,
     gf_c_variant,
     gf_class,
-    pochhammer,
     verify_identity,
 )
 
@@ -42,11 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ClassMembershipError",
-    "InvertibilityError",
     "Partition",
     "PartitionClass",
     "PartitionParseError",
-    "PochSpec",
     "ReductionCase",
     "ReductionTag",
     "TruncatedSeries",
@@ -66,7 +61,6 @@ __all__ = [
     "is_in_class",
     "normalize",
     "parse_partition",
-    "pochhammer",
     "render_class_d",
     "verify_identity",
 ]

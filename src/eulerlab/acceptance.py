@@ -16,6 +16,7 @@ from typing import Callable, ParamSpec, Sequence
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
     COUNT_METHODS,
+    METHOD_DYNAMIC_PROGRAM,
     PartitionClass,
     count_table,
     enumerate_class,
@@ -95,9 +96,9 @@ def golden_table() -> str:
 
 @_criterion
 def theorem_by_enumeration(n_max: int = 60) -> str:
-    """A(n) = B(n) = C(n+1) = D(n+1)/2 by exhaustive listing, 2 <= n <= n_max."""
+    """A(n) = B(n) = C(n+1) = D(n+1)/2 by exhaustive listing, 1 <= n <= n_max."""
     cutoff = n_max + 1
-    for n in range(2, n_max + 1):
+    for n in range(1, n_max + 1):
         a = len(enumerate_class(n, A, cutoff))
         b = len(enumerate_class(n, B, cutoff))
         c = len(enumerate_class(n + 1, C, cutoff))
@@ -117,7 +118,7 @@ def theorem_by_series(order: int = 200) -> str:
 @_criterion
 def c_forms_match_b(order: int = 200) -> str:
     """coeff(gf_C, n+1) = B(n) for 1 <= n <= order-1, in all three C forms."""
-    b_values = count_table(B, order - 1, "dynamic-program")
+    b_values = count_table(B, order - 1, METHOD_DYNAMIC_PROGRAM)
     for form in C_FORMS:
         coeffs = gf_c_variant(form, order).coeffs
         for n in range(1, order):

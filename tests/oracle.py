@@ -292,7 +292,7 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
             ).reciprocal()
             _add_shifted(acc, term.coeffs, 2 * n)
             n += 1
-        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
+        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order) * 2
 
     if stage == "double_sum":
         # 2 * (q^2;q^2)_inf * sum_{n,m} q^(2n+2nm+2m) / ( (q;q)_{2n} (q^2;q^2)_m ),
@@ -310,7 +310,7 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
             grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, 2 * n, mo).reciprocal()
             _add_shifted(acc, grouped.coeffs, 2 * n)
             n += 1
-        return 2 * (TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order))
+        return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order) * 2
 
     if stage == "split_sum":
         # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):

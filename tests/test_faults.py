@@ -109,7 +109,15 @@ def test_euler_lhs_fault_is_reported(monkeypatch, sign, summary):
     assert series.euler_expansion_check(2, ORDER).summary() == summary
 
 
-# The lowest comparison of thm_all, at n = 2, reads D(3).
+# The lowest comparison of thm_all, at n = 1, reads D(2); the next reads D(3).
+def test_thm_all_checks_from_n_1(monkeypatch):
+    _perturb(monkeypatch, "gf_class", D, 2)
+    report = series.verify_identity("thm_all", ORDER)
+    assert report.summary() == (
+        "thm_all order=30 FAIL at q^1: 2 != 3 [2*A(n) vs D(n+1)]"
+    )
+
+
 def test_thm_all_checks_from_n_2(monkeypatch):
     _perturb(monkeypatch, "gf_class", D, 3)
     report = series.verify_identity("thm_all", ORDER)
@@ -213,6 +221,24 @@ def _drop_one(monkeypatch, cls, weight):
     monkeypatch.setitem(partitions._GENERATORS, cls, dropping)
 
 
+def _drop_partition(monkeypatch, cls, parts):
+    """Make the class generator leave out the partition with these parts."""
+    original = partitions._GENERATORS[cls]
+
+    def dropping(n):
+        return (t for t in original(n) if t != parts)
+
+    monkeypatch.setitem(partitions._GENERATORS, cls, dropping)
+
+
+# The lowest n of theorem_by_enumeration is 1: D(2) = 2 counts 2 and 1+1.
+def test_theorem_by_enumeration_checks_n_1(monkeypatch):
+    _drop_partition(monkeypatch, D, (1, 1))
+    result = acceptance.theorem_by_enumeration(10)
+    assert not result.passed
+    assert result.detail == "n=1: A=1 B=1 C(n+1)=1 D(n+1)=1"
+
+
 # A(16) = 32 and A(17) = 38 (distinct-part partitions); a class C or D
 # partition of weight 17 is counted at n = 16.  bijection_suite's fibers over
 # weight n are checked against the A listing of weight n - 1, and c_to_b's
@@ -282,14 +308,48 @@ MAP_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("name,at,wrong,detail", MAP_FAULTS)
-def test_map_fault_is_reported(monkeypatch, name, at, wrong, detail):
+def _patch_map(monkeypatch, name, at, wrong):
+    """Make acceptance.<name>(*at) return wrong."""
     original = getattr(acceptance, name)
 
     def patched(*args):
         return wrong if args == at else original(*args)
 
     monkeypatch.setattr(acceptance, name, patched)
+
+
+@pytest.mark.parametrize("name,at,wrong,detail", MAP_FAULTS)
+def test_map_fault_is_reported(monkeypatch, name, at, wrong, detail):
+    _patch_map(monkeypatch, name, at, wrong)
+    suite = acceptance.bijection_suite(12)
+    assert not suite.passed
+    assert suite.detail == detail
+
+
+# The class-B half of the suite checks glaisher_to_distinct's images and the
+# inverse round trip, but the class-A half meets such a fault first, in the
+# round trip of 4+1, whose image is 1+1+1+1+1.  With 4+1 left out of the A
+# listing, one map fault reaches each of the two B-half branches.
+INVERSE_FAULTS = [
+    (
+        "glaisher_to_odd",
+        (P(4, 1),),
+        P(3, 1, 1),
+        "glaisher inverse round trip failed at 1+1+1+1+1",
+    ),
+    (
+        "glaisher_to_distinct",
+        (P(1, 1, 1, 1, 1),),
+        P(2, 2, 1),
+        "glaisher_to_distinct(1+1+1+1+1) bad image 2+2+1",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,at,wrong,detail", INVERSE_FAULTS)
+def test_glaisher_inverse_fault_is_reported(monkeypatch, name, at, wrong, detail):
+    _drop_partition(monkeypatch, A, (4, 1))
+    _patch_map(monkeypatch, name, at, wrong)
     suite = acceptance.bijection_suite(12)
     assert not suite.passed
     assert suite.detail == detail
