@@ -17,6 +17,7 @@ from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaish
 from .partitions import (
     COUNT_METHODS,
     METHOD_DYNAMIC_PROGRAM,
+    METHOD_ENUMERATION,
     PartitionClass,
     count_table,
     enumerate_class,
@@ -97,14 +98,11 @@ def golden_table() -> str:
 @_criterion
 def theorem_by_enumeration(n_max: int = 60) -> str:
     """A(n) = B(n) = C(n+1) = D(n+1)/2 by exhaustive listing, 1 <= n <= n_max."""
-    cutoff = n_max + 1
+    a, b = (count_table(cls, n_max, METHOD_ENUMERATION, n_max + 1) for cls in (A, B))
+    c, d = (count_table(cls, n_max + 1, METHOD_ENUMERATION, n_max + 1) for cls in (C, D))
     for n in range(1, n_max + 1):
-        a = len(enumerate_class(n, A, cutoff))
-        b = len(enumerate_class(n, B, cutoff))
-        c = len(enumerate_class(n + 1, C, cutoff))
-        d = len(enumerate_class(n + 1, D, cutoff))
-        if not (a == b == c and d == 2 * a and d % 2 == 0):
-            return f"n={n}: A={a} B={b} C(n+1)={c} D(n+1)={d}"
+        if not (a[n] == b[n] == c[n + 1] and d[n + 1] == 2 * a[n]):
+            return f"n={n}: A={a[n]} B={b[n]} C(n+1)={c[n + 1]} D(n+1)={d[n + 1]}"
     return ""
 
 

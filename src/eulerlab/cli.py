@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .acceptance import CRITERIA, run_all
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
@@ -38,16 +39,16 @@ from .series import (
 )
 
 DEFAULT_ORDER = 200
-MAX_CUTOFF = 100
-# Largest --order, --n and map input weight accepted (Glaisher's split makes
-# 2^k parts of one part 2^k).  On a 2-vCPU Xeon the slowest command at
-# --order 2000 is verify --identity chain_C, about 7 s (O(N^2) series builds).
-# At --n 1000 every count by dynamic program or series coefficient takes at
-# most 0.3 s in a fresh interpreter, of which 0.16 s is start-up: both routes
-# are O(n^2), so count --class C --n 1000 takes 0.23 s.  Doubling either limit
-# would cost about 4x above start-up.
+# Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
+# split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
+# fresh interpreter: verify --identity chain_C --order 2000 about 7 s; a count
+# at --n 1000 by dynamic program or series coefficient at most 0.3 s, 0.16 s of
+# it start-up; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
+# 21 s and 194 MB, and the same count by enumeration 12 s and 17 MB.  Doubling
+# --order or --n costs about 4x (O(N^2)); --cutoff 120 would cost about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000
+MAX_CUTOFF = 100
 
 CLASS_LETTERS = tuple(cls.value for cls in PartitionClass)
 BIJECTIONS = ("glaisher", "glaisher-inv", "d-reduce", "d-lift", "c2b", "b2c")
@@ -121,7 +122,7 @@ def record_to_plain(record: dict) -> str:
     raise UsageError(f"unknown record type {kind!r}")
 
 
-def _emit(records: list[dict], fmt: str) -> None:
+def _emit(records: Iterable[dict], fmt: str) -> None:
     for record in records:
         if fmt == "json-lines":
             print(json.dumps(record, sort_keys=True))
@@ -155,10 +156,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cls = PartitionClass(args.cls)
     (n,) = args.n
-    records = [
+    records = (
         {"type": "enumeration", "n": n, "class": cls.value, "parts": list(p.parts)}
         for p in enumerate_class(n, cls, args.cutoff)
-    ]
+    )
     _emit(records, args.format)
     return 0
 

@@ -355,7 +355,7 @@ def count_table(
     elif method == METHOD_ENUMERATION:
         if n_max > cutoff:  # refuse before listing the weights up to the cutoff
             raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
-        values = [len(enumerate_class(n, cls, cutoff)) for n in range(n_max + 1)]
+        values = [sum(1 for _ in _GENERATORS[cls](n)) for n in range(n_max + 1)]
         if cls is PartitionClass.C:
             values[0] = 1  # counting-layer convention; the predicate excludes the empty partition
     elif method == METHOD_SERIES_COEFFICIENT:

@@ -145,8 +145,9 @@ def test_enumerate_simple(capsys):
 
 
 def test_enumerate_cutoff_exit_2(capsys):
-    code, _, err = run(capsys, "enumerate", "--class", "A", "--n", "99")
+    code, out, err = run(capsys, "enumerate", "--class", "A", "--n", "99")
     assert code == 2
+    assert out == ""  # refused before any partition is printed
     assert "cutoff" in err
 
 

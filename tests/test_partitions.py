@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from eulerlab import partitions
+from eulerlab import acceptance, partitions
 from eulerlab.partitions import (
     CapacityError,
     ClassMembershipError,
@@ -213,6 +213,21 @@ def test_count_enumeration_refuses_before_listing(monkeypatch):
         count_table(A, 12, "enumeration", 10)
     assert str(excinfo.value) == "weight 11 exceeds enumeration cutoff 10"
     assert calls == []
+
+
+def test_count_by_enumeration_builds_no_partition(monkeypatch):
+    # A count reads only how many tuples each generator yields, so neither the
+    # enumeration count nor the theorem's listing criterion constructs one.
+    listed = {cls: [len(enumerate_class(n, cls)) for n in range(31)] for cls in PartitionClass}
+    listed[C][0] = 1  # counting convention
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Partition built on the count path")
+
+    monkeypatch.setattr(partitions, "Partition", forbidden)
+    for cls in PartitionClass:
+        assert count_table(cls, 30, "enumeration") == tuple(listed[cls]), cls
+    assert acceptance.theorem_by_enumeration(12).passed
 
 
 @pytest.mark.parametrize("cls", list(PartitionClass))
