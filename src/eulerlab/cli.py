@@ -41,7 +41,7 @@ from .series import (
 DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
 # split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
-# fresh interpreter: verify --identity chain_C --order 2000 about 7 s; a count
+# fresh interpreter: verify --identity chain_C --order 2000 about 2 s; a count
 # at --n 1000 by dynamic program or series coefficient at most 0.3 s, 0.16 s of
 # it start-up; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
 # 21 s and 194 MB, and the same count by enumeration 12 s and 17 MB.  Doubling

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import PartitionClass
 
@@ -157,12 +158,15 @@ def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
 
 # The series builders below are sums of q-Pochhammer quotients.  Consecutive
 # summands differ by a few factors (1 - s*q^e), and multiplying or dividing a
-# coefficient list by one such factor is an O(N) in-place recurrence, so each
-# summand is derived from the previous one and a whole build costs O(N^2).
+# coefficient list by one such factor is an O(N) in-place recurrence.  One
+# evaluator folds each sum by Horner's rule from the top summand down,
+# carrying each partial sum only to the order it still needs, so a whole
+# build costs O(N^2).  A product common to every summand, such as a first
+# summand T_0, is applied once to the folded sum.
 # The sign convention is PochSpec's: s = -1 gives the factor (1 + q^e).
 #
-# A term ratio T_n / T_(n-1), apart from the q^gap of the sum, is written as
-# data: a tuple of factors (sign, a, b, power), each meaning
+# A term ratio R_n = T_n / T_(n-1), apart from the q^gap of the sum, is written
+# as data: a tuple of factors (sign, a, b, power), each meaning
 # (1 - sign*q^(a*n + b))^power with power +1 or -1.
 Ratio = tuple[tuple[int, int, int, int], ...]
 
@@ -209,39 +213,40 @@ def _unit(order: int) -> list[int]:
     return [1] + [0] * order
 
 
-def _add_scaled(target: list[int], coeffs: Sequence[int], shift: int, sign: int = 1) -> None:
-    """target += sign * q^shift * coeffs, truncated at len(target); sign is +1 or -1."""
-    end = shift + len(coeffs)
-    if sign == 1:
-        target[shift:end] = [x + y for x, y in zip(target[shift:end], coeffs)]
-    else:
-        target[shift:end] = [x - y for x, y in zip(target[shift:end], coeffs)]
+def _add_into(target: list[int], coeffs: Sequence[int]) -> None:
+    """target += coeffs, truncated at len(target)."""
+    end = len(coeffs)
+    target[:end] = [x + y for x, y in zip(target[:end], coeffs)]
 
 
 def _sum_by_ratio(
     order: int,
-    first: list[int],
     gap: int,
     ratio: Ratio,
     scale: int = 1,
+    term: Callable[[int, int], Sequence[int]] | None = None,
 ) -> list[int]:
-    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) T_n, scale +1 or -1.
+    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) R_1...R_n U_n.
 
-    T_0 is `first`, which is consumed; T_n is T_(n-1) times the factors of
-    `ratio` at n, applied in place.  T_n is carried only to relative order
-    order - gap*n, so later terms are shorter.
+    R_k is the product of the factors of `ratio` at k, and scale is +1 or -1.
+    U_n is 1, or term(n, mo), the coefficients of U_n to relative order
+    mo = order - gap*n.  Folded by Horner's rule from the top n down:
+    H_n = U_n + scale*q^gap*R_(n+1)*H_(n+1), and the sum is H_0.
     """
     factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
-    out = first[:]
-    term = first
-    n = 1
-    while gap * n <= order:
-        del term[order - gap * n + 1 :]
+    h: list[int] = []
+    for n in range(order // gap, -1, -1):
         for apply, sign, a, b in factors:
-            apply(term, sign, a * n + b)
-        _add_scaled(out, term, gap * n, scale**n)
-        n += 1
-    return out
+            apply(h, sign, a * (n + 1) + b)
+        if scale == -1:
+            h = [-x for x in h]
+        h[:0] = [0] * gap
+        del h[order - gap * n + 1 :]
+        if term is None:
+            h[0] += 1
+        else:
+            _add_into(h, term(n, len(h) - 1))
+    return h
 
 
 # The three sum forms of gf_C, each summand indexed by half the largest part
@@ -305,11 +310,11 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
         return TruncatedSeries(_div_poch_inf(_unit(order), +1, 1, 2), order)
     if cls is PartitionClass.C:
         ratio = _C_FORM_RATIOS["sum_over_largest"]
-        return TruncatedSeries(_sum_by_ratio(order, _unit(order), 2, ratio), order)
+        return TruncatedSeries(_sum_by_ratio(order, 2, ratio), order)
     if cls is PartitionClass.D:
         # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
-        first = _mul_poch_inf(_unit(order), -1, 1, 1)
-        return TruncatedSeries(_sum_by_ratio(order, first, 2, ((-1, 1, 0, -1),)), order)
+        acc = _sum_by_ratio(order, 2, ((-1, 1, 0, -1),))
+        return TruncatedSeries(_mul_poch_inf(acc, -1, 1, 1), order)
     raise TypeError(f"not a partition class: {cls!r}")
 
 
@@ -323,36 +328,30 @@ def gf_c_variant(form: str, order: int) -> TruncatedSeries:
     """
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
-    return TruncatedSeries(_sum_by_ratio(order, _unit(order), 2, _C_FORM_RATIOS[form]), order)
+    return TruncatedSeries(_sum_by_ratio(order, 2, _C_FORM_RATIOS[form]), order)
 
 
 def _inner_m_sum(order: int, gap: int) -> list[int]:
     # sum_m q^(gap*m) / (q^2;q^2)_m;  T_m / T_(m-1) = q^gap / (1-q^(2m))
-    return _sum_by_ratio(order, _unit(order), gap, ((1, 2, 0, -1),))
+    return _sum_by_ratio(order, gap, ((1, 2, 0, -1),))
 
 
 def _stage_factored(order: int) -> list[int]:
     # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf ),
     # T_0 = 1/(q^2;q^2)_inf; T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n))),
-    # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.
-    first = _div_poch_inf(_unit(order), +1, 2, 2)
-    ratio = _C_FORM_RATIOS["even_poch_ratio"]
-    acc = _mul_poch_inf(_sum_by_ratio(order, first, 2, ratio), +1, 2, 2)
-    return [2 * x for x in acc]
+    # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.  T_0 is
+    # divided out and (q^2;q^2)_inf multiplied back, as the stage displays it.
+    acc = _sum_by_ratio(order, 2, _C_FORM_RATIOS["even_poch_ratio"])
+    return [2 * x for x in _mul_poch_inf(_div_poch_inf(acc, +1, 2, 2), +1, 2, 2)]
 
 
 def _stage_double_sum(order: int) -> list[int]:
     # 2 * (q^2;q^2)_inf * sum_{n,m} q^(2n+2nm+2m) / ( (q;q)_{2n} (q^2;q^2)_m ),
     # grouped by n as sum_n q^(2n) I_n / (q;q)_{2n} with the inner m-sum
-    # I_n = sum_m q^(m(2n+2)) / (q^2;q^2)_m, folded by Horner from the top n:
-    # H_n = I_n + q^2 H_(n+1) / ((1-q^(2n+1))(1-q^(2n+2))).
-    h: list[int] = []
-    for n in range(order // 2, -1, -1):
-        mo = order - 2 * n
-        h = ([0, 0] + h)[: mo + 1]
-        _div_factor(h, +1, 2 * n + 1)
-        _div_factor(h, +1, 2 * n + 2)
-        _add_scaled(h, _inner_m_sum(mo, 2 * n + 2), 0)
+    # I_n = sum_m q^(m(2n+2)) / (q^2;q^2)_m as the addend of summand n, and
+    # T_n / T_(n-1) = q^2 / ((1-q^(2n-1))(1-q^(2n))).
+    ratio = ((1, 2, -1, -1), (1, 2, 0, -1))
+    h = _sum_by_ratio(order, 2, ratio, term=lambda n, mo: _inner_m_sum(mo, 2 * n + 2))
     return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
 
 
@@ -360,35 +359,33 @@ def _stage_split_sum(order: int) -> list[int]:
     # (q^2;q^2)_inf * sum_{n,m} (1 + (-1)^n) q^(n+nm+2m) / ( (q;q)_n (q^2;q^2)_m ):
     # the doubled halving trick; the weight 1 + (-1)^n is 2 for even n and 0
     # for odd n, so only even n contribute, and the 2 is applied once at the end.
-    # Grouped by n with J_n = sum_m q^(m(n+2)) / (q^2;q^2)_m and folded by
-    # Horner from the top n: H_n = [n even] J_n + q H_(n+1) / (1-q^(n+1)).
-    h: list[int] = []
-    for n in range(order, -1, -1):
-        mo = order - n
-        h = ([0] + h)[: mo + 1]
-        _div_factor(h, +1, n + 1)
-        if n % 2 == 0:
-            _add_scaled(h, _inner_m_sum(mo, n + 2), 0)
+    # Grouped by n with J_n = sum_m q^(m(n+2)) / (q^2;q^2)_m: the addend of
+    # summand n is [n even] J_n, and T_n / T_(n-1) = q / (1-q^n).
+    def addend(n: int, mo: int) -> Sequence[int]:
+        return () if n % 2 else _inner_m_sum(mo, n + 2)
+
+    h = _sum_by_ratio(order, 1, ((1, 1, 0, -1),), term=addend)
     return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
 
 
 def _stage_bracket_reciprocals(order: int) -> list[int]:
     # (q^2;q^2)_inf * sum_m q^(2m)/(q^2;q^2)_m *
     #   [ 1/(q^(m+1);q)_inf + 1/(-q^(m+1);q)_inf ],
-    # one sum per bracket half: U_m = U_(m-1) (1-q^m) from U_0 = 1/(q;q)_inf
-    # and V_m = V_(m-1) (1+q^m) from V_0 = 1/(-q;q)_inf, each summand also
-    # taking the 1/(1-q^(2m)) of 1/(q^2;q^2)_m and the q^2 of q^(2m).
-    acc = [0] * (order + 1)
-    for sign in (+1, -1):
-        first = _div_poch_inf(_unit(order), sign, 1, 1)
-        _add_scaled(acc, _sum_by_ratio(order, first, 2, ((sign, 1, 0, 1), (1, 2, 0, -1))), 0)
-    return _mul_poch_inf(acc, +1, 2, 2)
+    # one sum per bracket half: for s = +1 and -1, 1/(s*q^(m+1);q)_inf is
+    # (s*q;q)_m / (s*q;q)_inf, so T_m / T_(m-1) = q^2 (1-s*q^m) / (1-q^(2m)),
+    # and each folded half is divided once by (s*q;q)_inf.
+    plus, minus = (
+        _div_poch_inf(_sum_by_ratio(order, 2, ((sign, 1, 0, 1), (1, 2, 0, -1))), sign, 1, 1)
+        for sign in (+1, -1)
+    )
+    _add_into(plus, minus)
+    return _mul_poch_inf(plus, +1, 2, 2)
 
 
 def _stage_final(order: int) -> list[int]:
     # sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
     out = list(gf_class(PartitionClass.D, order).coeffs)
-    _add_scaled(out, (1, -1), 0)
+    _add_into(out, (1, -1))
     return out
 
 
@@ -423,7 +420,7 @@ def _euler_lhs(c: int, sign: int, order: int) -> list[int]:
 def _euler_rhs(c: int, sign: int, order: int) -> list[int]:
     # sum_m t^m / (q;q)_m at t = sign*q^c;  T_m / T_(m-1) = q^c / (1-q^m),
     # and summand m is scaled by sign^m
-    return _sum_by_ratio(order, _unit(order), c, ((1, 1, 0, -1),), scale=sign)
+    return _sum_by_ratio(order, c, ((1, 1, 0, -1),), scale=sign)
 
 
 # A check is (context, first exponent, lhs, rhs): lhs[i] and rhs[i] are the
@@ -436,7 +433,8 @@ def _first_failure(name: str, order: int, checks: Iterable[Check]) -> Verificati
     """The first mismatch of the first failing check, or a pass."""
     t0 = perf_counter()
     for context, first, lhs, rhs in checks:
-        for n, (x, y) in enumerate(zip(lhs, rhs), first):
+        # a side that runs short fails at its first missing exponent
+        for n, (x, y) in enumerate(zip_longest(lhs, rhs), first):
             if x != y:
                 return VerificationReport(name, order, False, perf_counter() - t0, n, x, y, context)
     return VerificationReport(name, order, True, perf_counter() - t0)

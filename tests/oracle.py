@@ -15,15 +15,30 @@ every summand from scratch as a product, a reciprocal or a series product.
 They use only the generic TruncatedSeries ring and pochhammer of
 eulerlab.series (tested on their own), not the in-place term-ratio kernel
 that the package builders use, so the kernel is checked against them.
+
+The front-to-back part keeps the package's original term-ratio evaluator,
+which adds every summand into a full-length output, as a second reference
+for the Horner fold that replaced it.  It shares the package's in-place
+factor passes, which are checked on their own against the ring, but not the
+fold.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from eulerlab.partitions import PartitionClass
-from eulerlab.series import C_FORMS, CHAIN_STAGES, PochSpec, TruncatedSeries, pochhammer
+from eulerlab.series import (
+    C_FORMS,
+    CHAIN_STAGES,
+    PochSpec,
+    Ratio,
+    TruncatedSeries,
+    _div_factor,
+    _mul_factor,
+    pochhammer,
+)
 
 
 def all_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -374,3 +389,42 @@ def slow_euler_rhs(c: int, sign: int, order: int) -> list[int]:
             _add_shifted(rhs, inv.coeffs, c * m)
         m += 1
     return rhs
+
+
+# ---------------------------------------------------- front-to-back sum
+# The package's original _sum_by_ratio, with an optional addend U_n that is
+# multiplied in by the ring: T_0 is a given list, each T_n is derived from
+# T_(n-1) in place, and every summand is added into a full-length output,
+# front to back.  The Horner fold of eulerlab.series must give exactly these
+# sums once T_0 is multiplied in.
+
+
+def slow_sum_by_ratio(
+    order: int,
+    first: list[int],
+    gap: int,
+    ratio: Ratio,
+    scale: int = 1,
+    term: Callable[[int, int], Sequence[int]] | None = None,
+) -> list[int]:
+    """Coefficients 0..order of sum_{n >= 0} scale^n q^(gap*n) T_n U_n.
+
+    T_0 is `first`, which is consumed; T_n is T_(n-1) times the factors of
+    `ratio` at n.  U_n is 1, or term(n, mo) to relative order mo = order - gap*n.
+    """
+    factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
+    out = [0] * (order + 1)
+    t = first
+    n = 0
+    while gap * n <= order:
+        mo = order - gap * n
+        del t[mo + 1 :]
+        if n:
+            for apply, sign, a, b in factors:
+                apply(t, sign, a * n + b)
+        summand = t
+        if term is not None:
+            summand = (TruncatedSeries(t, mo) * TruncatedSeries(term(n, mo), mo)).coeffs
+        _add_shifted(out, [scale**n * x for x in summand], gap * n)
+        n += 1
+    return out

@@ -2,9 +2,10 @@
 
 The series tests wrap one builder so that its coefficient of q^k comes out
 one too large, then assert that the check reports exactly that exponent and
-the exact context string.  The listing tests drop one partition from one
-class generator, or send one input of one map to a wrong image, and assert
-the exact detail of the listing criterion or of golden_table.  The counting
+the exact context string; a side cut short must fail at its first missing
+exponent.  The listing tests drop one partition from one class generator, or
+send one input of one map to a wrong image, and assert the exact detail of
+the listing criterion or of golden_table.  The counting
 test adds one to a dynamic-program count and asserts the detail of
 oracle_equivalence.  So no check passes vacuously.
 """
@@ -203,6 +204,23 @@ def test_euler_expansion_criterion_checks_c_1(monkeypatch):
     result = acceptance.euler_expansion(5, ORDER)
     assert not result.passed
     assert result.detail == "euler_expansion_c1 order=30 FAIL at q^17: 297 != 298 [t=q^c]"
+
+
+# A side that runs short fails at its first missing exponent; it is not cut
+# to the shorter side's length and passed.
+def test_short_side_is_reported(monkeypatch):
+    euler_rhs, stage_final = series._euler_rhs, series._stage_final
+    monkeypatch.setattr(series, "_euler_rhs", lambda c, sign, o: euler_rhs(c, sign, o)[: o // 2])
+    monkeypatch.setattr(series, "_stage_final", lambda o: stage_final(o)[:3])
+    assert series.euler_expansion_check(2, ORDER).summary() == (
+        "euler_expansion_c2 order=30 FAIL at q^15: 41 != None [t=q^c]"
+    )
+    assert acceptance.euler_expansion(5, ORDER).detail == (
+        "euler_expansion_c1 order=30 FAIL at q^15: 176 != None [t=q^c]"
+    )
+    assert series.verify_identity("half_D", ORDER).summary() == (
+        "half_D order=30 FAIL at q^3: 2 != None [2*gf(C) vs gf(D) + 1 - q]"
+    )
 
 
 # ------------------------------------------------------------ listing route

@@ -1,11 +1,15 @@
-"""The O(N^2) series kernel against the slow reference route in oracle.py.
+"""The O(N^2) series kernel against the slow reference routes in oracle.py.
 
-The package builders derive each summand from the previous one by in-place
-multiplication and division by factors (1 - s*q^e); oracle.py keeps the
-original builders that rebuild every summand from scratch.  Both must agree
-on every coefficient, and the package route must not fall back on the generic
-TruncatedSeries ring at all.  The in-place primitives, and the dynamic
-program's own pair in partitions, are checked against the ring directly.
+The package builders fold every sum by Horner's rule from the top summand
+down, H_n = U_n + scale*q^gap*R_(n+1)*H_(n+1), each step an in-place
+multiplication or division by factors (1 - s*q^e); oracle.py keeps the
+original builders that rebuild every summand from scratch, and the original
+evaluator that adds each summand front to back.  The fold must agree with the
+front-to-back sum on random ratios, and the builders with the slow ones on
+every coefficient from order 0; the package route must not fall back on the
+generic TruncatedSeries ring at all.  The in-place primitives, and the
+dynamic program's own pair in partitions, are checked against the ring
+directly.
 """
 
 import pytest
@@ -24,6 +28,7 @@ from eulerlab.series import (
     _euler_lhs,
     _euler_rhs,
     _mul_factor,
+    _sum_by_ratio,
     euler_expansion_check,
     gf_c_chain_stage,
     gf_c_variant,
@@ -31,7 +36,7 @@ from eulerlab.series import (
     verify_identity,
 )
 
-ORDERS = list(range(1, 41)) + [200, 270]
+ORDERS = list(range(0, 41)) + [200, 270]
 
 
 # ------------------------------------------------------------- primitives
@@ -87,6 +92,24 @@ def test_mul_then_div_is_identity(kernel, coeffs, e, sign):
     div(c, sign, e)
     mul(c, sign, e)
     assert c == coeffs
+
+
+# A ratio factor (sign, a, b, power) is (1 - sign*q^(a*n + b))^power; its
+# exponent at n = 1, a + b, is at least 1.
+ratio_factors = st.integers(1, 3).flatmap(
+    lambda a: st.tuples(signs, st.just(a), st.integers(1 - a, 3), signs)
+)
+
+
+@given(st.lists(ratio_factors, max_size=4), st.integers(1, 3), signs, st.integers(0, 40), st.data())
+def test_fold_matches_front_to_back_sum(ratio, gap, scale, order, data):
+    first = data.draw(st.lists(st.integers(-5, 5), min_size=order + 1, max_size=order + 1))
+    addends = data.draw(st.none() | st.lists(coeff_lists, min_size=1, max_size=4))
+    term = None if addends is None else (lambda n, mo: addends[n % len(addends)][: mo + 1])
+    folded = _sum_by_ratio(order, gap, tuple(ratio), scale, term)
+    expected = oracle.slow_sum_by_ratio(order, list(first), gap, tuple(ratio), scale, term)
+    # the fold leaves out T_0, which multiplies every summand
+    assert list((TruncatedSeries(folded) * TruncatedSeries(first)).coeffs) == expected
 
 
 # ---------------------------------------------------- differential checks
