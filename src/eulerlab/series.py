@@ -8,7 +8,7 @@ coefficients; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -287,15 +287,30 @@ class VerificationReport:
         )
 
 
-# The public builders cache their results: one run often needs a series it
-# has already built.  Rebinding a public name (a tracer, a seeded fault) wraps
-# the cache, so every call is still seen; but a composite cached earlier, such
-# as the final stage holding a built gf(D), keeps its value.  Five identities
-# at three orders, one verification session, build 36 distinct series.
-_BUILD_CACHE_SIZE = 64
+# Each public builder caches, per first argument (class, form or stage), the
+# highest-order series built so far and serves a lower order as its prefix:
+# coefficient n depends only on exponents up to n.  Rebinding a public name (a
+# tracer, a seeded fault) wraps the cache, so every call is still seen; but a
+# composite cached earlier, such as the final stage's gf(D), keeps its value.
+def _keep_highest_order(build):
+    held: dict[object, TruncatedSeries] = {}
+    names = build.__code__.co_varnames[:2]
+
+    @wraps(build)
+    def serve(*args, **kwargs):
+        call = dict(zip(names, args)) | kwargs
+        if len(args) + len(kwargs) != 2 or call.keys() != set(names):
+            return build(*args, **kwargs)  # raises the builder's own TypeError
+        key, order = (call[name] for name in names)
+        if (s := held.get(key)) is None or s.order < order:
+            s = held[key] = build(key, order)
+        return s if s.order == order else TruncatedSeries(s.coeffs[: order + 1], order)
+
+    serve.cache_clear = held.clear
+    return serve
 
 
-@lru_cache(maxsize=_BUILD_CACHE_SIZE)
+@_keep_highest_order
 def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     """Generating function of a class: coefficient of q^n counts weight n.
 
@@ -318,7 +333,7 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-@lru_cache(maxsize=_BUILD_CACHE_SIZE)
+@_keep_highest_order
 def gf_c_variant(form: str, order: int) -> TruncatedSeries:
     """One of the three equivalent sum forms of the class-C generating function.
 
@@ -399,7 +414,7 @@ _CHAIN_STAGE_BUILDERS = {
 CHAIN_STAGES = tuple(_CHAIN_STAGE_BUILDERS)
 
 
-@lru_cache(maxsize=_BUILD_CACHE_SIZE)
+@_keep_highest_order
 def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     """One stage of the derivation chain connecting class C to class D.
 

@@ -10,8 +10,9 @@ def fresh_series_cache():
     """Start every test with empty builder caches.
 
     A series cached by an earlier test would hide a fault a later test seeds
-    (the final chain stage holds a built gf(D)), and a warm entry would let a
-    test of the build route pass without building anything.
+    (the final chain stage holds a built gf(D)), and a warm entry, which
+    serves its own order and every lower one, would let a test of the build
+    route pass without building anything.
     """
     for builder in CACHED_BUILDERS:
         builder.cache_clear()

@@ -25,13 +25,13 @@ def test_golden_table_weight_six():
 
 
 def test_theorem_by_enumeration_to_60():
-    # A(n) = B(n) = C(n+1) = D(n+1)/2 for 2 <= n <= 60, every count obtained
+    # A(n) = B(n) = C(n+1) = D(n+1)/2 for 1 <= n <= 60, every count obtained
     # by exhaustive listing.  Budget: 2 min.
     _check(acceptance.theorem_by_enumeration, 60, budget=120.0)
 
 
 def test_theorem_by_series_to_199():
-    # Same identity through series coefficients for 2 <= n <= 199 at
+    # Same identity through series coefficients for 1 <= n <= 199 at
     # truncation order 200.  Budget: 30 s.
     _check(acceptance.theorem_by_series, 200, budget=30.0)
 

@@ -1,3 +1,6 @@
+import gc
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -177,7 +180,8 @@ def test_gf_examples():
 @pytest.mark.parametrize("cls", list(PartitionClass))
 @pytest.mark.parametrize("small", [0, 1, 10, 19])
 def test_truncation_coherence(cls, small):
-    assert TruncatedSeries(gf_class(cls, 40).coeffs, small) == gf_class(cls, small)
+    # The lower order first: a later one would be served from the cache.
+    assert gf_class(cls, small) == TruncatedSeries(gf_class(cls, 40).coeffs, small)
 
 
 def test_pochhammer_truncation_coherence():
@@ -186,11 +190,12 @@ def test_pochhammer_truncation_coherence():
 
 
 def test_variant_and_stage_truncation_coherence():
+    # The lower order first: a later one would be served from the cache.
     for form in C_FORMS:
-        assert TruncatedSeries(gf_c_variant(form, 30).coeffs, 12) == gf_c_variant(form, 12)
+        assert gf_c_variant(form, 12) == TruncatedSeries(gf_c_variant(form, 30).coeffs, 12)
     for stage in CHAIN_STAGES:
-        stage_30 = gf_c_chain_stage(stage, 30)
-        assert TruncatedSeries(stage_30.coeffs, 12) == gf_c_chain_stage(stage, 12)
+        stage_12 = gf_c_chain_stage(stage, 12)
+        assert stage_12 == TruncatedSeries(gf_c_chain_stage(stage, 30).coeffs, 12)
 
 
 def test_c_variants_pairwise_identical():
@@ -300,6 +305,8 @@ def test_report_summary_mentions_failure_point():
 
 # ------------------------------------------------------------ builder cache
 
+CACHED_BUILDERS = (gf_class, gf_c_variant, gf_c_chain_stage)
+
 # (builder, first argument, oracle builder) for every cached series of an order
 BUILDS = (
     [(gf_class, cls, oracle.slow_gf_class) for cls in PartitionClass]
@@ -307,52 +314,159 @@ BUILDS = (
     + [(gf_c_chain_stage, stage, oracle.slow_chain_stage) for stage in CHAIN_STAGES]
 )
 
+# Every build of a series calls at least one of these steps; a series served
+# from the cache calls none of them.
+BUILD_STEPS = ("_sum_by_ratio", "_mul_poch_inf", "_div_poch_inf", "_add_into")
 
-def test_identities_build_each_series_once():
+
+def _clear_caches() -> None:
+    for builder in CACHED_BUILDERS:
+        builder.cache_clear()
+
+
+@pytest.fixture
+def build_steps(monkeypatch):
+    """Counter of the build steps called, by name, while the test runs."""
+    calls = Counter()
+
+    def counted(name, step):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return step(*args, **kwargs)
+
+        return wrapper
+
+    for name in BUILD_STEPS:
+        monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+    return calls
+
+
+def _held_series() -> list[TruncatedSeries]:
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) is TruncatedSeries]
+
+
+def test_identities_build_each_series_once(build_steps):
+    # On a cold cache the five identities take the steps of one build of each
+    # of the 12 series, plus the steps they take on a warm cache: half_D adds
+    # 1 - q to gf(D) for its right side, outside the cache.
     for name in IDENTITY_NAMES:
         assert verify_identity(name, 30).passed, name
-    assert gf_class.cache_info().misses == len(PartitionClass)
-    assert gf_c_variant.cache_info().misses == len(C_FORMS)
-    assert gf_c_chain_stage.cache_info().misses == len(CHAIN_STAGES)
+    cold = Counter(build_steps)
+    build_steps.clear()
+    for name in IDENTITY_NAMES:
+        verify_identity(name, 30)
+    warm = Counter(build_steps)
+    assert warm == Counter(_add_into=1)
+    _clear_caches()
+    build_steps.clear()
+    for builder, arg, _ in BUILDS:
+        builder(arg, 30)
+    assert cold == build_steps + warm
 
 
-def test_cached_series_match_reference():
-    for order in range(1, 41):
-        for builder, arg, slow in BUILDS:
-            builder(arg, order)
-            hits = builder.cache_info().hits
-            assert builder(arg, order) == slow(arg, order), (arg, order)
-            assert builder.cache_info().hits == hits + 1
+def test_cached_series_match_reference(build_steps):
+    # Orders 0..39 after order 40 are served as prefixes, and build nothing.
+    for builder, arg, _ in BUILDS:
+        builder(arg, 40)
+    build_steps.clear()
+    served = {(arg, order): builder(arg, order) for order in range(40) for builder, arg, _ in BUILDS}
+    assert not build_steps
+    for _, arg, slow in BUILDS:
+        for order in range(40):
+            assert served[arg, order] == slow(arg, order), (arg, order)
+
+
+def test_higher_order_rebuilds(build_steps):
+    for builder, arg, slow in BUILDS:
+        low = builder(arg, 20)
+        build_steps.clear()
+        high = builder(arg, 30)
+        assert build_steps, arg
+        assert high == slow(arg, 30), arg
+        assert builder(arg, 30) is high and builder(arg, 20) == low, arg
+
+
+def test_served_prefixes_equal_cold_builds(build_steps):
+    # Every order 0..120 served from the order-120 series equals a build at
+    # that order from empty caches, and order -1 fails alike warm and cold.
+    cold = {}
+    for order in range(121):
+        _clear_caches()
+        for builder, arg, _ in BUILDS:
+            cold[arg, order] = builder(arg, order)
+    errors = {}
+    for builder, arg, _ in BUILDS:
+        _clear_caches()
+        with pytest.raises(ValueError) as info:
+            builder(arg, -1)
+        errors[arg] = str(info.value)
+    _clear_caches()
+    for builder, arg, _ in BUILDS:
+        builder(arg, 120)
+    build_steps.clear()
+    for builder, arg, _ in BUILDS:
+        for order in range(121):
+            assert builder(arg, order) == cold[arg, order], (arg, order)
+        with pytest.raises(ValueError) as info:
+            builder(arg, -1)
+        assert str(info.value) == errors[arg], arg
+    assert not build_steps
+
+
+def _fault_at_q17_of_gf_c(monkeypatch) -> list[TruncatedSeries]:
+    """Add 1 to the q^17 coefficient of gf(C); returns the series it was served."""
+    original = series.gf_class
+    served = []
+
+    def patched(cls, order):
+        result = original(cls, order)
+        if cls is not C:
+            return result
+        served.append(result)
+        coeffs = list(result.coeffs)
+        coeffs[17] += 1
+        return TruncatedSeries(coeffs, result.order)
+
+    monkeypatch.setattr(series, "gf_class", patched)
+    return served
 
 
 def test_fault_is_seen_through_a_warm_cache(monkeypatch):
     # shift_BC caches gf(C); a fault wrapped around the public name afterwards
     # still reaches chain_C, which is served the cached series.
     assert verify_identity("shift_BC", 30).passed
-    original = series.gf_class
-
-    def patched(cls, order):
-        result = original(cls, order)
-        if cls is not C:
-            return result
-        coeffs = list(result.coeffs)
-        coeffs[17] += 1
-        return TruncatedSeries(coeffs, result.order)
-
-    monkeypatch.setattr(series, "gf_class", patched)
-    hits = gf_class.cache_info().hits
+    warm = gf_class(C, 30)
+    served = _fault_at_q17_of_gf_c(monkeypatch)
     report = verify_identity("chain_C", 30)
-    assert gf_class.cache_info().hits > hits
+    assert served == [warm] and served[0] is warm
     assert not report.passed
     assert (report.exponent, report.context) == (17, "form=sum_over_largest")
 
 
-def test_cache_stays_bounded():
-    # 300 to 500 distinct keys per builder: each cache fills to its bound and
-    # grows no further.
+def test_fault_is_seen_through_a_higher_order_warm_cache(monkeypatch):
+    # The same fault, with chain_C served a prefix of the order-60 gf(C).
+    assert verify_identity("shift_BC", 60).passed
+    warm = gf_class(C, 60)
+    served = _fault_at_q17_of_gf_c(monkeypatch)
+    report = verify_identity("chain_C", 30)
+    assert served == [TruncatedSeries(warm.coeffs, 30)]
+    assert gf_class(C, 60) is warm
+    assert not report.passed
+    assert (report.exponent, report.context) == (17, "form=sum_over_largest")
+
+
+def test_cache_stays_bounded(build_steps):
+    # Orders 0..99 of every builder leave one series per first argument, the
+    # one at order 99: 12 series in all.
+    before = {id(s) for s in _held_series()}
     for order in range(100):
         for builder, arg, _ in BUILDS:
             builder(arg, order)
-    for builder in (gf_class, gf_c_variant, gf_c_chain_stage):
-        info = builder.cache_info()
-        assert info.currsize == info.maxsize == series._BUILD_CACHE_SIZE
+    held = [s for s in _held_series() if id(s) not in before]
+    assert len(held) == len(BUILDS) == 12
+    assert {s.order for s in held} == {99}
+    build_steps.clear()
+    for builder, arg, _ in BUILDS:
+        assert builder(arg, 99) is builder(arg, 99), arg
+    assert not build_steps
