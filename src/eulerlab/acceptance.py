@@ -141,15 +141,21 @@ def euler_expansion(max_c: int = 5, order: int = 100) -> str:
 
 @_criterion
 def bijection_suite(max_weight: int = 40) -> str:
-    """Exhaustive round trips, image classes, and fiber sizes up to max_weight."""
+    """Exhaustive round trips, image classes, fiber sizes and image sets.
+
+    One step per weight n <= max_weight lists A(n), B(n), C(n+1) and D(n+1)
+    once each, so C and D are checked from weight max_weight + 1 down.
+    """
     for n in range(0, max_weight + 1):
-        for p in enumerate_class(n, A):
+        a_listing = enumerate_class(n, A)
+        for p in a_listing:
             image = glaisher_to_odd(p)
             if image.weight != n or not is_in_class(image, B):
                 return f"glaisher_to_odd({p}) bad image {image}"
             if glaisher_to_distinct(image) != p:
                 return f"glaisher round trip failed at {p}"
-        for p in enumerate_class(n, B):
+        b_listing = enumerate_class(n, B)
+        for p in b_listing:
             image = glaisher_to_distinct(p)
             if image.weight != n or not is_in_class(image, A):
                 return f"glaisher_to_distinct({p}) bad image {image}"
@@ -161,34 +167,29 @@ def bijection_suite(max_weight: int = 40) -> str:
                     return f"b_to_c({p}) bad image {up}"
                 if c_to_b(up) != p:
                     return f"b_to_c then c_to_b failed at {p}"
-        for p in enumerate_class(n, C):
+        if n == 0:  # C(1) is empty, but B(0) holds the empty partition
+            continue
+        images = []
+        for p in enumerate_class(n + 1, C):
             image = c_to_b(p)
-            if image.weight != n - 1 or not is_in_class(image, B):
+            if image.weight != n or not is_in_class(image, B):
                 return f"c_to_b({p}) bad image {image}"
             if image.parts[0] != p.parts[0] - 1:
                 return f"c_to_b({p}) largest part {image.parts[0]}"
             if b_to_c(image) != p:
                 return f"c_to_b then b_to_c failed at {p}"
-
-    for n in range(2, max_weight + 1):
+            images.append(image.parts)
         fibers = set()
-        for p in enumerate_class(n, D):
+        for p in enumerate_class(n + 1, D):
             mu, tag = d_reduce(p)
-            if mu.weight != n - 1 or not is_in_class(mu, A):
+            if mu.weight != n or not is_in_class(mu, A):
                 return f"d_reduce({p}) bad image {mu}"
             if d_lift(mu, tag.bit) != p:
                 return f"d_reduce then d_lift failed at {p}"
             fibers.add((mu.parts, tag.bit))
-        expected = {
-            (mu.parts, bit) for mu in enumerate_class(n - 1, A) for bit in (0, 1)
-        }
-        if fibers != expected:
-            return f"fiber structure off at weight {n}"
-
-    for n in range(1, max_weight + 1):
-        images = sorted(c_to_b(p).parts for p in enumerate_class(n + 1, C))
-        targets = sorted(p.parts for p in enumerate_class(n, B))
-        if images != targets:
+        if fibers != {(mu.parts, bit) for mu in a_listing for bit in (0, 1)}:
+            return f"fiber structure off at weight {n + 1}"
+        if sorted(images) != sorted(p.parts for p in b_listing):
             return f"c_to_b image set differs from class B at weight {n}"
 
     return ""

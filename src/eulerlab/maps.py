@@ -43,12 +43,17 @@ def glaisher_to_distinct(p: Partition) -> Partition:
     for part, mult in p.multiplicities().items():
         if part % 2 == 0:
             raise ClassMembershipError(f"part {part} is even; expected odd parts only")
-        while mult:
-            if mult & 1:
-                out.append(part)
-            part <<= 1
-            mult >>= 1
+        _merge_binary(out, part, mult)
     return normalize(out)
+
+
+def _merge_binary(out: list[int], part: int, mult: int) -> None:
+    """Append part * 2**j to out for each set bit j of mult."""
+    while mult:
+        if mult & 1:
+            out.append(part)
+        part <<= 1
+        mult >>= 1
 
 
 class ReductionCase(Enum):
@@ -160,10 +165,5 @@ def b_to_c(p: Partition) -> Partition:
             k += 1
         copies, rest = divmod(mult, 1 << k)
         out.extend([base << k] * copies)
-        j = 0
-        while rest:
-            if rest & 1:
-                out.append(base << j)
-            rest >>= 1
-            j += 1
+        _merge_binary(out, base, rest)
     return normalize(out)

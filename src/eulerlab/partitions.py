@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -51,7 +50,7 @@ class Partition:
                 raise ValueError("parts must be non-increasing; use normalize() first")
             prev = part
 
-    @cached_property
+    @property
     def weight(self) -> int:
         return sum(self.parts)
 

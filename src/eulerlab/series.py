@@ -494,7 +494,7 @@ def _chain_c_checks(order: int) -> Iterator[Check]:
 
 def _half_d_checks(order: int) -> Iterator[Check]:
     lhs = [2 * x for x in gf_class(PartitionClass.C, order).coeffs]
-    yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs, _stage_final(order)
+    yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs, gf_c_chain_stage("final", order).coeffs
 
 
 def _thm_all_checks(order: int) -> Iterator[Check]:

@@ -55,8 +55,8 @@ def test_euler_expansion_orders_1_to_5():
 
 def test_bijection_suite_to_weight_40():
     # Exhaustive round trips, image-class membership, fiber sizes of two,
-    # and image-set equality, for all partitions of weight <= 40 in the
-    # relevant classes.  Budget: 5 min.
+    # and image-set equality, for all partitions of weight <= 40 in classes
+    # A and B and of weight <= 41 in classes C and D.  Budget: 5 min.
     _check(acceptance.bijection_suite, 40, budget=300.0)
 
 

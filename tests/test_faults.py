@@ -5,10 +5,13 @@ one too large, then assert that the check reports exactly that exponent and
 the exact context string; a side cut short must fail at its first missing
 exponent.  The listing tests drop one partition from one class generator, or
 send one input of one map to a wrong image, and assert the exact detail of
-the listing criterion or of golden_table.  The counting
-test adds one to a dynamic-program count and asserts the detail of
-oracle_equivalence.  So no check passes vacuously.
+the listing criterion or of golden_table; bijection_suite must list each
+class once per weight.  The counting test adds one to a dynamic-program
+count and asserts the detail of oracle_equivalence.  So no check passes
+vacuously.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -207,11 +210,12 @@ def test_euler_expansion_criterion_checks_c_1(monkeypatch):
 
 
 # A side that runs short fails at its first missing exponent; it is not cut
-# to the shorter side's length and passed.
+# to the shorter side's length and passed.  A public builder pads a short
+# result with zeros to the full order, so half_D sees zeros, not a short side.
 def test_short_side_is_reported(monkeypatch):
     euler_rhs, stage_final = series._euler_rhs, series._stage_final
     monkeypatch.setattr(series, "_euler_rhs", lambda c, sign, o: euler_rhs(c, sign, o)[: o // 2])
-    monkeypatch.setattr(series, "_stage_final", lambda o: stage_final(o)[:3])
+    monkeypatch.setitem(series._CHAIN_STAGE_BUILDERS, "final", lambda o: stage_final(o)[:3])
     assert series.euler_expansion_check(2, ORDER).summary() == (
         "euler_expansion_c2 order=30 FAIL at q^15: 41 != None [t=q^c]"
     )
@@ -219,7 +223,7 @@ def test_short_side_is_reported(monkeypatch):
         "euler_expansion_c1 order=30 FAIL at q^15: 176 != None [t=q^c]"
     )
     assert series.verify_identity("half_D", ORDER).summary() == (
-        "half_D order=30 FAIL at q^3: 2 != None [2*gf(C) vs gf(D) + 1 - q]"
+        "half_D order=30 FAIL at q^3: 2 != 0 [2*gf(C) vs gf(D) + 1 - q]"
     )
 
 
@@ -279,6 +283,31 @@ def test_dropped_partition_is_reported(monkeypatch, cls, theorem_detail, suite_d
     suite = acceptance.bijection_suite(20)
     assert not suite.passed
     assert suite.detail == suite_detail
+
+
+# bijection_suite(12) checks C and D up to weight 13: the fibers of D(13)
+# over A(12) are compared in the suite's last step.
+def test_top_weight_fiber_is_checked(monkeypatch):
+    _drop_one(monkeypatch, D, 13)
+    suite = acceptance.bijection_suite(12)
+    assert not suite.passed
+    assert suite.detail == "fiber structure off at weight 13"
+
+
+def test_suite_lists_each_class_once_per_weight(monkeypatch):
+    listed = Counter()
+    enumerate_class = acceptance.enumerate_class
+
+    def counting(n, cls):
+        listed[n, cls] += 1
+        return enumerate_class(n, cls)
+
+    monkeypatch.setattr(acceptance, "enumerate_class", counting)
+    assert acceptance.bijection_suite(12).passed
+    assert listed == Counter(
+        [(n, cls) for n in range(13) for cls in (A, B)]
+        + [(n, cls) for n in range(2, 14) for cls in (C, D)]
+    )
 
 
 def test_golden_table_detail(monkeypatch):
