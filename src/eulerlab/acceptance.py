@@ -9,9 +9,8 @@ _criterion decorator times it and names the result after it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, ParamSpec, Sequence
+from typing import Callable, NamedTuple, ParamSpec, Sequence
 
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
@@ -52,8 +51,7 @@ GOLDEN_D7 = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str

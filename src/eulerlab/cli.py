@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+from collections.abc import Callable, Iterable
 
-from .acceptance import CRITERIA, run_all
-from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
+# series, acceptance and maps are imported by the commands that use them, so
+# a call loads only what its subcommand runs.
 from .partitions import (
     COUNT_METHODS,
     DEFAULT_ENUMERATION_CUTOFF,
@@ -27,25 +27,16 @@ from .partitions import (
     parse_partition,
     render_class_d,
 )
-from .series import (
-    C_FORMS,
-    CHAIN_STAGES,
-    IDENTITY_NAMES,
-    VerificationReport,
-    gf_c_chain_stage,
-    gf_c_variant,
-    gf_class,
-    verify_identity,
-)
 
 DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
 # split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
 # fresh interpreter: verify --identity chain_C --order 2000 about 2 s; a count
-# at --n 1000 by dynamic program or series coefficient at most 0.3 s, 0.16 s of
-# it start-up; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
-# 21 s and 194 MB, and the same count by enumeration 12 s and 17 MB.  Doubling
-# --order or --n costs about 4x (O(N^2)); --cutoff 120 would cost about 5x.
+# at --n 1000 by dynamic program or series coefficient at most 0.15 s, 0.06 to
+# 0.09 s of it start-up; enumerate --class D --n 100 --cutoff 100, 818,348
+# partitions, 21 s and 194 MB, and the same count by enumeration 12 s and
+# 17 MB.  Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120 would
+# cost about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000
 MAX_CUTOFF = 100
@@ -112,6 +103,8 @@ def record_to_plain(record: dict) -> str:
             return f"{rendered} (case {record['case_number']}, bit {record['bit']})"
         return rendered
     if kind == "verify":
+        from .series import VerificationReport
+
         return VerificationReport(elapsed=0.0, **{k: record[k] for k in VERIFY_FIELDS}).summary()
     if kind == "series":
         return f"{record['exponent']}\t{record['coefficient']}"
@@ -165,6 +158,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
+
     name = args.bijection
     p = parse_partition(args.partition, allow_zeros=name == "d-reduce")
     if p.weight > MAX_N:
@@ -192,6 +187,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .series import verify_identity
+
     report = verify_identity(args.identity, args.order)
     record = {"type": "verify", **{k: getattr(report, k) for k in VERIFY_FIELDS}}
     _emit([record], args.format)
@@ -199,6 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .series import gf_c_chain_stage, gf_c_variant, gf_class
+
     # argparse's required group gives exactly one of --class, --form, --stage
     if args.cls is not None:
         series = gf_class(PartitionClass(args.cls), args.order)
@@ -215,6 +214,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .acceptance import run_all
+
     results = run_all(args.only)
     records = [
         {
@@ -229,52 +230,78 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--class", dest="cls", choices=CLASS_LETTERS, required=True)
+    p.add_argument("--n", required=True, help="single value or inclusive range a..b")
+    p.add_argument("--method", choices=COUNT_METHODS, default=METHOD_DYNAMIC_PROGRAM)
+    p.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
+
+
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--class", dest="cls", choices=CLASS_LETTERS, required=True)
+    p.add_argument("--n", required=True, help="single weight")
+    p.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
+
+
+def _map_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bijection", choices=BIJECTIONS, required=True)
+    p.add_argument("--bit", type=_int_option, choices=(0, 1), default=None)
+    p.add_argument("partition", help="partition string like 4+2+1")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .series import IDENTITY_NAMES
+
+    p.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
+    p.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
+
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
+    from .series import C_FORMS, CHAIN_STAGES
+
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--class", dest="cls", choices=CLASS_LETTERS)
+    group.add_argument("--form", choices=C_FORMS)
+    group.add_argument("--stage", choices=CHAIN_STAGES)
+    p.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
+
+
+def _selftest_arguments(p: argparse.ArgumentParser) -> None:
+    from .acceptance import CRITERIA
+
+    p.add_argument("--only", action="append", choices=tuple(CRITERIA), default=None)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when argparse first
+    dispatches to it: a call builds only its own subcommand's arguments, and
+    top-level help and errors need none of them.
+    """
+
+    def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self.add_argument("--format", choices=("plain", "json-lines"), default="plain")
+            self._arguments = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerlab",
         description="Count, list, map, and verify the four partition classes.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("plain", "json-lines"), default="plain")
-
-    p_count = sub.add_parser("count", help="count partitions of one class")
-    p_count.add_argument("--class", dest="cls", choices=CLASS_LETTERS, required=True)
-    p_count.add_argument("--n", required=True, help="single value or inclusive range a..b")
-    p_count.add_argument("--method", choices=COUNT_METHODS, default=METHOD_DYNAMIC_PROGRAM)
-    p_count.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
-    add_common(p_count)
-
-    p_enum = sub.add_parser("enumerate", help="list partitions of one class")
-    p_enum.add_argument("--class", dest="cls", choices=CLASS_LETTERS, required=True)
-    p_enum.add_argument("--n", required=True, help="single weight")
-    p_enum.add_argument("--cutoff", type=_int_option, default=DEFAULT_ENUMERATION_CUTOFF)
-    add_common(p_enum)
-
-    p_map = sub.add_parser("map", help="apply one of the class maps")
-    p_map.add_argument("--bijection", choices=BIJECTIONS, required=True)
-    p_map.add_argument("--bit", type=_int_option, choices=(0, 1), default=None)
-    p_map.add_argument("partition", help="partition string like 4+2+1")
-    add_common(p_map)
-
-    p_verify = sub.add_parser("verify", help="run one identity check")
-    p_verify.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
-    p_verify.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
-    add_common(p_verify)
-
-    p_series = sub.add_parser("series", help="dump a generating function as TSV")
-    group = p_series.add_mutually_exclusive_group(required=True)
-    group.add_argument("--class", dest="cls", choices=CLASS_LETTERS)
-    group.add_argument("--form", choices=C_FORMS)
-    group.add_argument("--stage", choices=CHAIN_STAGES)
-    p_series.add_argument("--order", type=_int_option, default=DEFAULT_ORDER)
-    add_common(p_series)
-
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--only", action="append", choices=tuple(CRITERIA), default=None)
-    add_common(p_self)
-
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub.add_parser("count", help="count partitions of one class", arguments=_count_arguments)
+    sub.add_parser("enumerate", help="list partitions of one class", arguments=_enumerate_arguments)
+    sub.add_parser("map", help="apply one of the class maps", arguments=_map_arguments)
+    sub.add_parser("verify", help="run one identity check", arguments=_verify_arguments)
+    sub.add_parser("series", help="dump a generating function as TSV", arguments=_series_arguments)
+    sub.add_parser("selftest", help="run the acceptance suite", arguments=_selftest_arguments)
     return parser
 
 

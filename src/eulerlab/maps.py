@@ -8,8 +8,8 @@ D down to A with fibers of size exactly two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .partitions import (
     ClassMembershipError,
@@ -71,8 +71,7 @@ _CASE_NUMBER = {
 }
 
 
-@dataclass(frozen=True)
-class ReductionTag:
+class ReductionTag(NamedTuple):
     """Branch record of the two-to-one reduction from class D."""
 
     case: ReductionCase

@@ -10,10 +10,9 @@ twice and everything else is distinct).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_CUTOFF = 60
 
@@ -35,20 +34,48 @@ class PartitionParseError(ValueError):
     """A partition string does not match the 'a+b+c' grammar."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Immutable:
+    """Refuses attribute assignment and deletion, so one instance can be shared."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # pickle and copy restore the slots through here, not through __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Partition(_Immutable):
     """A partition in canonical form: positive parts, non-increasing."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
         prev = None
-        for part in self.parts:
+        for part in parts:
             if part < 1:
                 raise ValueError(f"non-positive part {part}; use normalize() first")
             if prev is not None and part > prev:
                 raise ValueError("parts must be non-increasing; use normalize() first")
             prev = part
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def weight(self) -> int:

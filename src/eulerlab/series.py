@@ -7,20 +7,19 @@ coefficients; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from itertools import zip_longest
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .partitions import PartitionClass
+from .partitions import PartitionClass, _Immutable
 
 
 class InvertibilityError(ValueError):
     """Constant term is not a unit over the integers."""
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Immutable):
     """Integer power series known exactly for exponents 0..order.
 
     Instances are immutable (assigning or deleting an attribute raises
@@ -42,12 +41,6 @@ class TruncatedSeries:
         padded.extend([0] * (order + 1 - len(padded)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(padded))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"TruncatedSeries is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"TruncatedSeries is immutable; cannot delete {name!r}")
 
     def coeff(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -114,28 +107,26 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs=[{head}{tail}])"
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class PochSpec(_Immutable):
     """Product of factors (1 - sign*q^(offset + step*i)) for i = 0, 1, ...
 
     terms=None means the infinite product, which truncates itself once the
     exponent passes the series order; sign=-1 gives (1 + q^e) factors.
     """
 
-    sign: int
-    offset: int
-    step: int = 1
-    terms: int | None = None
+    __slots__ = ("sign", "offset", "step", "terms")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, offset: int, step: int = 1, terms: int | None = None) -> None:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.offset < 1:
+        if offset < 1:
             raise ValueError("offset must be >= 1")
-        if self.step < 1:
+        if step < 1:
             raise ValueError("step must be >= 1")
-        if self.terms is not None and self.terms < 0:
+        if terms is not None and terms < 0:
             raise ValueError("terms must be non-negative or None")
+        for name, value in zip(self.__slots__, (sign, offset, step, terms)):
+            object.__setattr__(self, name, value)
 
 
 def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
@@ -264,8 +255,7 @@ _C_FORM_RATIOS: dict[str, Ratio] = {
 C_FORMS = tuple(_C_FORM_RATIOS)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one coefficientwise identity check over exponents 0..order."""
 
     name: str

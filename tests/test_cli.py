@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,69 @@ def test_empty_class_exit_2(capsys):
             assert (code, out) == (2, "")
             assert err.startswith(f"usage: eulerlab {argv[0]} ")
             assert err.endswith(f"eulerlab {argv[0]}: error: argument --class: {invalid}")
+
+
+# ------------------------------------------------------------ edge cases
+
+# stdout, stderr and exit code of each call, recorded when every call still
+# built the arguments of all six subcommands.  Help and usage text is
+# argparse's, at 80 columns, as Python 3.11 formats it.  The argv of
+# "-x count ..." and "--format count count ..." reach the count subcommand
+# although argv[0] does not name it.
+EDGE_CASES = json.loads((Path(__file__).parent / "cli_edge_cases.json").read_text("utf-8"))
+
+
+def edge_case_id(case: dict) -> str:
+    return ("tuple " if case["tuple"] else "") + (" ".join(case["argv"]) or "[]")
+
+
+@pytest.mark.parametrize("case", EDGE_CASES, ids=edge_case_id)
+def test_edge_case_output_is_kept(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = tuple(case["argv"]) if case["tuple"] else case["argv"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# ------------------------------------------------------------ cold start
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_by(code: str) -> set[str]:
+    """Modules that a fresh interpreter adds to sys.modules while running code."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\n"
+    script += "print(*sorted(set(sys.modules) - before))"
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cold_count_loads_no_series_maps_or_acceptance():
+    loaded = loaded_by("from eulerlab.cli import main\nmain(['count', '--class', 'A', '--n', '1'])")
+    assert "eulerlab.partitions" in loaded
+    assert not loaded & {"eulerlab.series", "eulerlab.acceptance", "eulerlab.maps", "dataclasses"}
+
+
+def test_cold_verify_loads_series_only():
+    loaded = loaded_by(
+        "from eulerlab.cli import main\nmain(['verify', '--identity', 'euler_AB', '--order', '5'])"
+    )
+    assert "eulerlab.series" in loaded
+    assert not loaded & {"eulerlab.acceptance", "eulerlab.maps"}
+
+
+def test_no_module_loads_dataclasses():
+    paths = (SRC / "eulerlab").glob("*.py")
+    modules = sorted(f"eulerlab.{path.stem}" for path in paths if path.stem != "__init__")
+    loaded = loaded_by(f"import {', '.join(modules)}")
+    assert set(modules) <= loaded
+    assert "dataclasses" not in loaded

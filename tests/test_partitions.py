@@ -43,15 +43,22 @@ def test_normalize_empty():
 
 
 def test_normalize_rejects_negative():
-    with pytest.raises(ValueError):
-        normalize([3, -1])
+    # The first negative part in input order is named, from a list or a generator.
+    for raw in ([3, -1, -2], (x for x in (3, -1, 0, -2))):
+        with pytest.raises(ValueError, match="^negative part: -1$"):
+            normalize(raw)
 
 
 def test_partition_constructor_enforces_canonical_form():
-    with pytest.raises(ValueError):
+    # The first offending part decides which error is raised.
+    with pytest.raises(ValueError, match="non-increasing"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-increasing"):
+        Partition((1, 2, 0))
+    with pytest.raises(ValueError, match=r"^non-positive part 0; use normalize\(\) first$"):
         Partition((2, 0))
+    with pytest.raises(ValueError, match="non-positive part -1"):
+        Partition((-1, 2))
 
 
 @given(st.lists(st.integers(0, 50), max_size=20))

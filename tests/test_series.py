@@ -1,4 +1,5 @@
 import gc
+import re
 from collections import Counter
 
 import pytest
@@ -132,12 +133,14 @@ def test_pochhammer_finite_matches_manual_product():
 
 
 def test_pochhammer_validation():
-    with pytest.raises(ValueError):
-        PochSpec(2, 1)
-    with pytest.raises(ValueError):
-        PochSpec(1, 0)
-    with pytest.raises(ValueError):
-        PochSpec(1, 1, 0)
+    for args, message in (
+        ((2, 1), "sign must be +1 or -1"),
+        ((1, 0), "offset must be >= 1"),
+        ((1, 1, 0), "step must be >= 1"),
+        ((1, 1, 1, -1), "terms must be non-negative or None"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PochSpec(*args)
 
 
 def test_reciprocal_odd_product_matches_term_sum():
