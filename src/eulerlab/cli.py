@@ -8,7 +8,6 @@ record per line carrying the fields the plain rendering is built from.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Iterable
 
@@ -116,11 +115,14 @@ def record_to_plain(record: dict) -> str:
 
 
 def _emit(records: Iterable[dict], fmt: str) -> None:
-    for record in records:
-        if fmt == "json-lines":
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(record_to_plain(record))
+    if fmt == "json-lines":
+        import json  # deferred, so that plain output does not load it
+
+        lines = (json.dumps(record, sort_keys=True) for record in records)
+    else:
+        lines = map(record_to_plain, records)
+    for line in lines:
+        print(line)
 
 
 def _check_ranges(args: argparse.Namespace) -> None:

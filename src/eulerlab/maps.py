@@ -9,6 +9,7 @@ D down to A with fibers of size exactly two.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 from typing import NamedTuple
 
 from .partitions import (
@@ -40,10 +41,10 @@ def glaisher_to_distinct(p: Partition) -> Partition:
     f; the result has all parts distinct and the same weight.
     """
     out: list[int] = []
-    for part, mult in p.multiplicities().items():
+    for part, run in groupby(p.parts):
         if part % 2 == 0:
             raise ClassMembershipError(f"part {part} is even; expected odd parts only")
-        _merge_binary(out, part, mult)
+        _merge_binary(out, part, len(list(run)))
     return normalize(out)
 
 
@@ -153,12 +154,9 @@ def b_to_c(p: Partition) -> Partition:
     if not is_in_class(p, PartitionClass.B):
         raise ClassMembershipError(f"{p} is not in class B")
     target_max = p.parts[0] + 1
-    counts = p.multiplicities()
-    counts[p.parts[0]] -= 1
     out = [target_max]
-    for base, mult in counts.items():
-        if mult <= 0:
-            continue
+    for base, run in groupby(p.parts[1:]):
+        mult = len(list(run))
         k = 0
         while base << (k + 1) <= target_max:
             k += 1

@@ -9,7 +9,6 @@ twice and everything else is distinct).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain
@@ -81,9 +80,6 @@ class Partition(_Immutable):
     def weight(self) -> int:
         return sum(self.parts)
 
-    def multiplicities(self) -> Counter[int]:
-        return Counter(self.parts)
-
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts) if self.parts else "(empty)"
 
@@ -154,13 +150,8 @@ def is_in_class(p: Partition, cls: PartitionClass) -> bool:
         small = [part for part in p.parts if part <= half]
         return len(set(small)) == len(small)
     if cls is PartitionClass.D:
-        if len(p.parts) <= 1:
-            return True
-        counts = p.multiplicities()
-        smallest = p.parts[-1]
-        if counts[smallest] > 2:
-            return False
-        return all(counts[part] == 1 for part in counts if part != smallest)
+        # parts are non-increasing, so only the last two may be equal
+        return all(a > b for a, b in zip(p.parts, p.parts[1:-1]))
     raise TypeError(f"not a partition class: {cls!r}")
 
 
@@ -298,7 +289,13 @@ def enumerate_class(
     return [Partition(t) for t in tuples]
 
 
-def _mul_binomial(c: list[int], sign: int, e: int) -> None:
+# The in-place coefficient kernel of the dynamic programs here and of the
+# series builders: multiplying or dividing a coefficient list, truncated at
+# its length, by one factor (1 - s*q^e) is an O(N) recurrence.  The sign
+# convention is series.PochSpec's: s = -1 gives the factor (1 + q^e).
+
+
+def _mul_factor(c: list[int], sign: int, e: int) -> None:
     """c *= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
 
     c[j] -= sign*c[j-e] for j descending, that is from the old values.
@@ -309,27 +306,43 @@ def _mul_binomial(c: list[int], sign: int, e: int) -> None:
         c[e:] = [x + y for x, y in zip(c[e:], c)]
 
 
-def _div_binomial(c: list[int], e: int) -> None:
-    """c /= (1 - q^e) in place, truncated at len(c); e >= 1.
+def _div_factor(c: list[int], sign: int, e: int) -> None:
+    """c /= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
 
-    c[j] += c[j-e] for j ascending, that is from the new values.
+    c[j] += sign*c[j-e] for j ascending, that is from the new values.
     """
-    for j in range(e, len(c)):
-        c[j] += c[j - e]
+    if sign == 1:
+        for j in range(e, len(c)):
+            c[j] += c[j - e]
+    else:
+        for j in range(e, len(c)):
+            c[j] -= c[j - e]
+
+
+def _mul_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
+    """c times the infinite product of (1 - sign*q^(offset + step*i)), in place."""
+    for e in range(offset, len(c), step):
+        _mul_factor(c, sign, e)
+    return c
+
+
+def _div_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
+    """c divided by the infinite product of (1 - sign*q^(offset + step*i)), in place."""
+    for e in range(offset, len(c), step):
+        _div_factor(c, sign, e)
+    return c
+
+
+def _unit(order: int) -> list[int]:
+    return [1] + [0] * order
 
 
 def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     """Counting table values[0..n_max] for one class, by dynamic program."""
     if cls is PartitionClass.A:
-        dp = [1] + [0] * n_max
-        for k in range(1, n_max + 1):
-            _mul_binomial(dp, -1, k)
-        return dp
+        return _mul_poch_inf(_unit(n_max), -1, 1, 1)
     if cls is PartitionClass.B:
-        dp = [1] + [0] * n_max
-        for k in range(1, n_max + 1, 2):
-            _div_binomial(dp, k)
-        return dp
+        return _div_poch_inf(_unit(n_max), +1, 1, 2)
     if cls is PartitionClass.C:
         # Condition on the largest part 2N: one copy of 2N is placed, parts in
         # (N, 2N] repeat freely, parts <= N are used at most once.  dp counts
@@ -340,13 +353,13 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
         # convention for the empty partition.
         out = [0] * (n_max + 1)
         out[0] = 1
-        dp = [1] + [0] * n_max
+        dp = _unit(n_max)
         for half in range(1, n_max // 2 + 1):
             del dp[n_max - 2 * half + 1 :]
-            _mul_binomial(dp, 1, half)
-            _mul_binomial(dp, -1, half)
-            _div_binomial(dp, 2 * half - 1)
-            _div_binomial(dp, 2 * half)
+            _mul_factor(dp, 1, half)
+            _mul_factor(dp, -1, half)
+            _div_factor(dp, 1, 2 * half - 1)
+            _div_factor(dp, 1, 2 * half)
             out[2 * half :] = [x + y for x, y in zip(out[2 * half :], dp)]
         return out
     if cls is PartitionClass.D:
@@ -404,6 +417,6 @@ def render_class_d(p: Partition) -> str:
         raise ClassMembershipError(f"{p} is not in class D")
     if not p.parts:
         return "0+0"
-    if len(p.parts) == 1 or p.multiplicities()[p.parts[-1]] == 1:
+    if len(p.parts) == 1 or p.parts[-2] != p.parts[-1]:
         return "0+0+" + "+".join(str(x) for x in p.parts)
     return "+".join(str(x) for x in reversed(p.parts))

@@ -12,7 +12,15 @@ from itertools import zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .partitions import PartitionClass, _Immutable
+from .partitions import (
+    PartitionClass,
+    _div_factor,
+    _div_poch_inf,
+    _Immutable,
+    _mul_factor,
+    _mul_poch_inf,
+    _unit,
+)
 
 
 class InvertibilityError(ValueError):
@@ -153,55 +161,13 @@ def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
 # evaluator folds each sum by Horner's rule from the top summand down,
 # carrying each partial sum only to the order it still needs, so a whole
 # build costs O(N^2).  A product common to every summand, such as a first
-# summand T_0, is applied once to the folded sum.
-# The sign convention is PochSpec's: s = -1 gives the factor (1 + q^e).
+# summand T_0, is applied once to the folded sum.  The factor passes are the
+# in-place kernel of partitions, which the dynamic programs share.
 #
 # A term ratio R_n = T_n / T_(n-1), apart from the q^gap of the sum, is written
 # as data: a tuple of factors (sign, a, b, power), each meaning
 # (1 - sign*q^(a*n + b))^power with power +1 or -1.
 Ratio = tuple[tuple[int, int, int, int], ...]
-
-
-def _mul_factor(c: list[int], sign: int, e: int) -> None:
-    """c *= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
-
-    c[j] -= sign*c[j-e] for j descending, that is from the old values.
-    """
-    if sign == 1:
-        c[e:] = [x - y for x, y in zip(c[e:], c)]
-    else:
-        c[e:] = [x + y for x, y in zip(c[e:], c)]
-
-
-def _div_factor(c: list[int], sign: int, e: int) -> None:
-    """c /= (1 - sign*q^e) in place, truncated at len(c); e >= 1.
-
-    c[j] += sign*c[j-e] for j ascending, that is from the new values.
-    """
-    if sign == 1:
-        for j in range(e, len(c)):
-            c[j] += c[j - e]
-    else:
-        for j in range(e, len(c)):
-            c[j] -= c[j - e]
-
-
-def _mul_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
-    """c times the infinite product of (1 - sign*q^(offset + step*i)), in place."""
-    for e in range(offset, len(c), step):
-        _mul_factor(c, sign, e)
-    return c
-
-
-def _div_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
-    """c divided by the infinite product of (1 - sign*q^(offset + step*i)), in place."""
-    for e in range(offset, len(c), step):
-        _div_factor(c, sign, e)
-    return c
-
-
-def _unit(order: int) -> list[int]:
-    return [1] + [0] * order
 
 
 def _add_into(target: list[int], coeffs: Sequence[int]) -> None:

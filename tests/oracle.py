@@ -19,8 +19,8 @@ that the package builders use, so the kernel is checked against them.
 The front-to-back part keeps the package's original term-ratio evaluator,
 which adds every summand into a full-length output, as a second reference
 for the Horner fold that replaced it.  It shares the package's in-place
-factor passes, which are checked on their own against the ring, but not the
-fold.
+factor passes of eulerlab.partitions, which the dynamic programs use too and
+which are checked on their own against the ring, but not the fold.
 """
 
 from __future__ import annotations
@@ -28,17 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterator, Sequence
 
-from eulerlab.partitions import PartitionClass
-from eulerlab.series import (
-    C_FORMS,
-    CHAIN_STAGES,
-    PochSpec,
-    Ratio,
-    TruncatedSeries,
-    _div_factor,
-    _mul_factor,
-    pochhammer,
-)
+from eulerlab.partitions import PartitionClass, _div_factor, _mul_factor
+from eulerlab.series import C_FORMS, CHAIN_STAGES, PochSpec, Ratio, TruncatedSeries, pochhammer
 
 
 def all_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:

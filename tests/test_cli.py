@@ -447,9 +447,12 @@ def loaded_by(code: str) -> set[str]:
 
 
 def test_cold_count_loads_no_series_maps_or_acceptance():
-    loaded = loaded_by("from eulerlab.cli import main\nmain(['count', '--class', 'A', '--n', '1'])")
+    count = "from eulerlab.cli import main\nmain(['count', '--class', 'A', '--n', '1'] + {})"
+    loaded = loaded_by(count.format([]))
     assert "eulerlab.partitions" in loaded
-    assert not loaded & {"eulerlab.series", "eulerlab.acceptance", "eulerlab.maps", "dataclasses"}
+    forbidden = {"eulerlab.series", "eulerlab.acceptance", "eulerlab.maps", "dataclasses", "json"}
+    assert not loaded & forbidden
+    assert "json" in loaded_by(count.format(["--format", "json-lines"]))
 
 
 def test_cold_verify_loads_series_only():

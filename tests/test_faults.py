@@ -6,9 +6,10 @@ the exact context string; a side cut short must fail at its first missing
 exponent.  The listing tests drop one partition from one class generator, or
 send one input of one map to a wrong image, and assert the exact detail of
 the listing criterion or of golden_table; bijection_suite must list each
-class once per weight.  The counting test adds one to a dynamic-program
-count and asserts the detail of oracle_equivalence.  So no check passes
-vacuously.
+class once per weight.  The counting tests add one to a dynamic-program
+count, or to one coefficient of a division in the kernel that the dynamic
+program and the series share, and assert the detail of oracle_equivalence.
+So no check passes vacuously.
 """
 
 from collections import Counter
@@ -191,6 +192,25 @@ def test_oracle_equivalence_detail(monkeypatch):
     assert not result.passed
     assert result.detail == (
         "class C, n=17: {'enumeration': 32, 'dynamic-program': 33, 'series-coefficient': 32}"
+    )
+
+
+def test_shared_kernel_fault_is_caught_by_enumeration(monkeypatch):
+    # The dynamic program and the series share the in-place kernel, so a fault
+    # in it makes their columns agree; the enumeration column still differs.
+    original = partitions._div_factor
+
+    def patched(c, sign, e):
+        original(c, sign, e)
+        if e == K and len(c) > K:
+            c[K] += 1
+
+    for module in (partitions, series):
+        monkeypatch.setattr(module, "_div_factor", patched)
+    result = acceptance.oracle_equivalence()
+    assert not result.passed
+    assert result.detail == (
+        "class B, n=17: {'enumeration': 38, 'dynamic-program': 39, 'series-coefficient': 39}"
     )
 
 

@@ -7,27 +7,25 @@ original builders that rebuild every summand from scratch, and the original
 evaluator that adds each summand front to back.  The fold must agree with the
 front-to-back sum on random ratios, and the builders with the slow ones on
 every coefficient from order 0; the package route must not fall back on the
-generic TruncatedSeries ring at all.  The in-place primitives, and the
-dynamic program's own pair in partitions, are checked against the ring
+generic TruncatedSeries ring at all.  The in-place primitives, which live in
+partitions and serve its dynamic programs too, are checked against the ring
 directly.
 """
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from eulerlab import partitions, series
-from eulerlab.partitions import PartitionClass, count_table
+from eulerlab import series
+from eulerlab.partitions import PartitionClass, _div_factor, _mul_factor, count_table
 from eulerlab.series import (
     C_FORMS,
     CHAIN_STAGES,
     IDENTITY_NAMES,
     TruncatedSeries,
-    _div_factor,
     _euler_lhs,
     _euler_rhs,
-    _mul_factor,
     _sum_by_ratio,
     euler_expansion_check,
     gf_c_chain_stage,
@@ -46,17 +44,6 @@ exponents = st.integers(1, 18)
 signs = st.sampled_from([1, -1])
 
 
-def _div_binomial(c: list[int], sign: int, e: int) -> None:
-    """partitions._div_binomial in the series signature; it divides by 1 - q^e only."""
-    assume(sign == 1)
-    partitions._div_binomial(c, e)
-
-
-# (multiply, divide) by 1 - sign*q^e: the series kernel, and the dynamic
-# program's own pair in partitions, which does not import the series kernel.
-kernels = st.sampled_from([(_mul_factor, _div_factor), (partitions._mul_binomial, _div_binomial)])
-
-
 def _factor(order: int, sign: int, e: int) -> TruncatedSeries:
     """1 - sign*q^e, truncated at order."""
     coeffs = [0] * (e + 1)
@@ -64,33 +51,30 @@ def _factor(order: int, sign: int, e: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-@given(kernels, coeff_lists, exponents, signs)
-def test_mul_factor_matches_ring_product(kernel, coeffs, e, sign):
-    mul, _ = kernel
+@given(coeff_lists, exponents, signs)
+def test_mul_factor_matches_ring_product(coeffs, e, sign):
     c = list(coeffs)
-    mul(c, sign, e)
+    _mul_factor(c, sign, e)
     expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e)
     assert TruncatedSeries(c) == expected
 
 
-@given(kernels, coeff_lists, exponents, signs)
-def test_div_factor_matches_ring_reciprocal(kernel, coeffs, e, sign):
-    _, div = kernel
+@given(coeff_lists, exponents, signs)
+def test_div_factor_matches_ring_reciprocal(coeffs, e, sign):
     c = list(coeffs)
-    div(c, sign, e)
+    _div_factor(c, sign, e)
     expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e).reciprocal()
     assert TruncatedSeries(c) == expected
 
 
-@given(kernels, coeff_lists, exponents, signs)
-def test_mul_then_div_is_identity(kernel, coeffs, e, sign):
-    mul, div = kernel
+@given(coeff_lists, exponents, signs)
+def test_mul_then_div_is_identity(coeffs, e, sign):
     c = list(coeffs)
-    mul(c, sign, e)
-    div(c, sign, e)
+    _mul_factor(c, sign, e)
+    _div_factor(c, sign, e)
     assert c == coeffs
-    div(c, sign, e)
-    mul(c, sign, e)
+    _div_factor(c, sign, e)
+    _mul_factor(c, sign, e)
     assert c == coeffs
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from eulerlab import series
+from eulerlab import partitions, series
 from eulerlab.partitions import PartitionClass, count_table
 from eulerlab.series import (
     C_FORMS,
@@ -473,3 +473,74 @@ def test_cache_stays_bounded(build_steps):
     for builder, arg, _ in BUILDS:
         assert builder(arg, 99) is builder(arg, 99), arg
     assert not build_steps
+
+
+# ------------------------------------------------------------ growth gate
+
+# The coefficients one call of an in-place primitive updates: the length of
+# the slice it rewrites.
+SLICE_LENGTHS = {
+    "_mul_factor": lambda c, sign, e: max(len(c) - e, 0),
+    "_div_factor": lambda c, sign, e: max(len(c) - e, 0),
+    "_add_into": lambda target, coeffs: min(len(target), len(coeffs)),
+}
+
+
+@pytest.fixture
+def coeff_updates(monkeypatch):
+    """Counter, by primitive, of the coefficients updated while the test runs.
+
+    Every module that binds a primitive gets the counting wrapper, so the
+    dynamic programs and the series builders are both counted.
+    """
+    updates = Counter()
+
+    def counted(name, primitive):
+        def wrapper(*args):
+            updates[name] += SLICE_LENGTHS[name](*args)
+            return primitive(*args)
+
+        return wrapper
+
+    for name in SLICE_LENGTHS:
+        primitive = getattr(series, name)
+        for module in (partitions, series, oracle):
+            if getattr(module, name, None) is primitive:
+                monkeypatch.setattr(module, name, counted(name, primitive))
+    return updates
+
+
+# Coefficient updates of each identity and chain stage from empty caches at
+# orders 250 and 1000, and bounds on their growth per doubling of the order,
+# (at_1000 / at_250) ** (1/2).  The counts do not depend on the machine.  An
+# O(N^2) build grows about 4x.  double_sum and split_sum are O(N^2 log N):
+# each outer n runs an inner m-sum of about (N - 2n)^2 / (4n + 4) updates.
+# chain_C holds builds of both kinds.
+QUADRATIC = (3.99, 4.01)
+WITH_LOG = (4.36, 4.44)
+COEFF_UPDATES = {
+    "euler_AB": (47_125, 751_000, QUADRATIC),
+    "shift_BC": (52_062, 833_250, QUADRATIC),
+    "chain_C": (491_635, 8_503_705, (QUADRATIC[0], WITH_LOG[1])),
+    "half_D": (78_064, 1_249_752, QUADRATIC),
+    "thm_all": (125_187, 2_000_750, QUADRATIC),
+    "factored": (54_562, 874_500, QUADRATIC),
+    "double_sum": (88_317, 1_731_226, WITH_LOG),
+    "split_sum": (88_380, 1_731_476, WITH_LOG),
+    "bracket_reciprocals": (114_876, 1_834_501, QUADRATIC),
+    "final": (41_752, 667_002, QUADRATIC),
+}
+
+
+@pytest.mark.parametrize("name", COEFF_UPDATES)
+def test_coefficient_updates_are_pinned(coeff_updates, name):
+    build = verify_identity if name in IDENTITY_NAMES else gf_c_chain_stage
+    counts = []
+    for order in (250, 1000):
+        _clear_caches()
+        coeff_updates.clear()
+        build(name, order)
+        counts.append(coeff_updates.total())
+    at_250, at_1000, (low, high) = COEFF_UPDATES[name]
+    assert low <= (counts[1] / counts[0]) ** 0.5 <= high
+    assert counts == [at_250, at_1000]
