@@ -275,20 +275,24 @@ def _selftest_arguments(p: argparse.ArgumentParser) -> None:
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when argparse first
-    dispatches to it: a call builds only its own subcommand's arguments, and
-    top-level help and errors need none of them.
+    """A subcommand's parser, constructed when argparse first dispatches to it.
+
+    add_parser only stores the parser and the dispatch only calls its
+    parse_known_args, so the ArgumentParser constructor, the arguments and
+    --format all wait until then: a call constructs its own subcommand's
+    parser and no other, and top-level help and errors construct none.
     """
 
     def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._arguments = arguments
+        self._deferred = (arguments, kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments(self)
+        if self._deferred is not None:
+            arguments, kwargs = self._deferred
+            self._deferred = None
+            super().__init__(**kwargs)
+            arguments(self)
             self.add_argument("--format", choices=("plain", "json-lines"), default="plain")
-            self._arguments = None
         return super().parse_known_args(args, namespace)
 
 

@@ -31,7 +31,8 @@ def glaisher_to_odd(p: Partition) -> Partition:
     for part in p.parts:
         power = (part & -part).bit_length() - 1
         out += [part >> power] * (1 << power)
-    return normalize(out)
+    out.sort(reverse=True)
+    return Partition(tuple(out))
 
 
 def glaisher_to_distinct(p: Partition) -> Partition:
@@ -45,7 +46,8 @@ def glaisher_to_distinct(p: Partition) -> Partition:
         if part % 2 == 0:
             raise ClassMembershipError(f"part {part} is even; expected odd parts only")
         _merge_binary(out, part, len(list(run)))
-    return normalize(out)
+    out.sort(reverse=True)
+    return Partition(tuple(out))
 
 
 def _merge_binary(out: list[int], part: int, mult: int) -> None:
@@ -105,7 +107,7 @@ def d_reduce(p: Partition) -> tuple[Partition, ReductionTag]:
     else:
         case = ReductionCase.SMALLEST_EQUALS_ONE
     reduced = p.parts[:-1] + ((smallest - 1,) if smallest > 1 else ())
-    return normalize(reduced), ReductionTag(case)
+    return Partition(reduced), ReductionTag(case)
 
 
 def d_lift(mu: Partition, bit: int) -> Partition:
@@ -121,8 +123,8 @@ def d_lift(mu: Partition, bit: int) -> Partition:
     if not is_in_class(mu, PartitionClass.A):
         raise ClassMembershipError(f"{mu} does not have distinct parts")
     if bit == 1:
-        return normalize(mu.parts + (1,))
-    return normalize(mu.parts[:-1] + (mu.parts[-1] + 1,))
+        return Partition(mu.parts + (1,))
+    return Partition(mu.parts[:-1] + (mu.parts[-1] + 1,))
 
 
 def c_to_b(p: Partition) -> Partition:
@@ -163,4 +165,5 @@ def b_to_c(p: Partition) -> Partition:
         copies, rest = divmod(mult, 1 << k)
         out.extend([base << k] * copies)
         _merge_binary(out, base, rest)
-    return normalize(out)
+    out.sort(reverse=True)
+    return Partition(tuple(out))

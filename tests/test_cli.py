@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eulerlab import series
-from eulerlab.cli import MAX_N, MAX_ORDER, main, parse_n_range, record_to_plain
+from eulerlab.cli import COMMANDS, MAX_N, MAX_ORDER, main, parse_n_range, record_to_plain
 from eulerlab.partitions import PartitionClass
 from eulerlab.series import TruncatedSeries
 
@@ -405,10 +406,10 @@ def test_empty_class_exit_2(capsys):
 # ------------------------------------------------------------ edge cases
 
 # stdout, stderr and exit code of each call, recorded when every call still
-# built the arguments of all six subcommands.  Help and usage text is
-# argparse's, at 80 columns, as Python 3.11 formats it.  The argv of
-# "-x count ..." and "--format count count ..." reach the count subcommand
-# although argv[0] does not name it.
+# constructed all six subcommand parsers and built the arguments of all six.
+# Help and usage text is argparse's, at 80 columns, as Python 3.11 formats
+# it.  The argv of "-x count ..." and "--format count count ..." reach the
+# count subcommand although argv[0] does not name it.
 EDGE_CASES = json.loads((Path(__file__).parent / "cli_edge_cases.json").read_text("utf-8"))
 
 
@@ -416,13 +417,66 @@ def edge_case_id(case: dict) -> str:
     return ("tuple " if case["tuple"] else "") + (" ".join(case["argv"]) or "[]")
 
 
-@pytest.mark.parametrize("case", EDGE_CASES, ids=edge_case_id)
-def test_edge_case_output_is_kept(capsys, monkeypatch, case):
-    monkeypatch.setenv("COLUMNS", "80")
+def replay(capsys, case: dict) -> tuple[int, str, str]:
     argv = tuple(case["argv"]) if case["tuple"] else case["argv"]
     code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+    return code, captured.out, captured.err
+
+
+def recorded(case: dict) -> tuple[int, str, str]:
+    return case["exit"], case["stdout"], case["stderr"]
+
+
+@pytest.mark.parametrize("case", EDGE_CASES, ids=edge_case_id)
+def test_edge_case_output_is_kept(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert replay(capsys, case) == recorded(case)
+
+
+def test_edge_cases_replay_in_one_process(capsys, monkeypatch):
+    # No call may leave state behind that changes a later call's output,
+    # whatever came before it: the cases run forwards, then backwards.
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in EDGE_CASES + EDGE_CASES[::-1]:
+        assert replay(capsys, case) == recorded(case), edge_case_id(case)
+
+
+# How many ArgumentParser objects one main call constructs: the top-level
+# parser, and a subcommand's own only once argparse dispatches to it.
+PARSERS_CONSTRUCTED = [([name, "--help"], 2) for name in COMMANDS] + [
+    (["count", "--class", "A", "--n", "3"], 2),
+    (["count", "--class", "A"], 2),
+    (["count", "--class", "Z", "--n", "3"], 2),
+    (["count", "--class", "A", "--n", "3", "--bogus"], 2),
+    (["-x", "count", "--class", "B", "--n", "2"], 2),
+    (["verify", "--identity", "euler_AB", "--order", "5", "--format", "json-lines"], 2),
+    ([], 1),
+    (["--help"], 1),
+    (["-h", "count"], 1),
+    (["bogus"], 1),
+    (["cou", "--class", "A", "--n", "1"], 1),
+    (["-1"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,constructed",
+    PARSERS_CONSTRUCTED,
+    ids=[" ".join(argv) or "[]" for argv, _ in PARSERS_CONSTRUCTED],
+)
+def test_a_call_constructs_only_the_dispatched_parser(capsys, monkeypatch, argv, constructed):
+    init = argparse.ArgumentParser.__init__
+    parsers = []
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main(argv)
+    capsys.readouterr()
+    assert len(parsers) == constructed
 
 
 # ------------------------------------------------------------ cold start
