@@ -17,7 +17,6 @@ from .partitions import (
     Partition,
     PartitionClass,
     is_in_class,
-    normalize,
 )
 
 
@@ -136,10 +135,8 @@ def c_to_b(p: Partition) -> Partition:
     if not is_in_class(p, PartitionClass.C):
         raise ClassMembershipError(f"{p} is not in class C")
     largest = p.parts[0]
-    decremented = list(p.parts)
-    decremented.remove(largest)
-    decremented.append(largest - 1)
-    return glaisher_to_odd(normalize(decremented))
+    k = p.parts.count(largest)  # the copies of 2N lead, so the last one becomes 2N-1
+    return glaisher_to_odd(Partition(p.parts[1:k] + (largest - 1,) + p.parts[k:]))
 
 
 def b_to_c(p: Partition) -> Partition:

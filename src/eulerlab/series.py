@@ -7,7 +7,6 @@ coefficients; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from functools import wraps
 from itertools import zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -243,30 +242,31 @@ class VerificationReport(NamedTuple):
         )
 
 
-# Each public builder caches, per first argument (class, form or stage), the
-# highest-order series built so far and serves a lower order as its prefix:
-# coefficient n depends only on exponents up to n.  Rebinding a public name (a
-# tracer, a seeded fault) wraps the cache, so every call is still seen; but a
-# composite cached earlier, such as the final stage's gf(D), keeps its value.
-def _keep_highest_order(build):
-    held: dict[object, TruncatedSeries] = {}
-    names = build.__code__.co_varnames[:2]
-
-    @wraps(build)
-    def serve(*args, **kwargs):
-        call = dict(zip(names, args)) | kwargs
-        if len(args) + len(kwargs) != 2 or call.keys() != set(names):
-            return build(*args, **kwargs)  # raises the builder's own TypeError
-        key, order = (call[name] for name in names)
-        if (s := held.get(key)) is None or s.order < order:
-            s = held[key] = build(key, order)
-        return s if s.order == order else TruncatedSeries(s.coeffs[: order + 1], order)
-
-    serve.cache_clear = held.clear
-    return serve
+# One table holds, per class, C form or chain stage, the highest-order series
+# built so far, and serves a lower order as its prefix: coefficient n depends
+# only on exponents up to n.  gf(C) is the form sum_over_largest, so the two
+# names share one entry.  Rebinding a public name (a tracer, a seeded fault)
+# wraps that name alone, so every call to it is still seen; but a composite
+# cached earlier, such as the final stage's gf(D), keeps its value.
+_held: dict[object, TruncatedSeries] = {}
 
 
-@_keep_highest_order
+def _cached(key: object, order: int, build: Callable[[int], Sequence[int]]) -> TruncatedSeries:
+    """The series held under key, at order; build(order) runs only above the held order."""
+    if (s := _held.get(key)) is None or s.order < order:
+        s = _held[key] = TruncatedSeries(build(order), order)
+    return s if s.order == order else TruncatedSeries(s.coeffs[: order + 1], order)
+
+
+def _c_form(form: str, order: int) -> TruncatedSeries:
+    return _cached(form, order, lambda n: _sum_by_ratio(n, 2, _C_FORM_RATIOS[form]))
+
+
+def _gf_d(order: int) -> list[int]:
+    # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
+    return _mul_poch_inf(_sum_by_ratio(order, 2, ((-1, 1, 0, -1),)), -1, 1, 1)
+
+
 def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     """Generating function of a class: coefficient of q^n counts weight n.
 
@@ -276,20 +276,16 @@ def gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     D is the sum over the doubled smallest part m of q^(2m) (-q^(m+1);q)_inf.
     """
     if cls is PartitionClass.A:
-        return TruncatedSeries(_mul_poch_inf(_unit(order), -1, 1, 1), order)
+        return _cached(cls, order, lambda n: _mul_poch_inf(_unit(n), -1, 1, 1))
     if cls is PartitionClass.B:
-        return TruncatedSeries(_div_poch_inf(_unit(order), +1, 1, 2), order)
+        return _cached(cls, order, lambda n: _div_poch_inf(_unit(n), +1, 1, 2))
     if cls is PartitionClass.C:
-        ratio = _C_FORM_RATIOS["sum_over_largest"]
-        return TruncatedSeries(_sum_by_ratio(order, 2, ratio), order)
+        return _c_form("sum_over_largest", order)
     if cls is PartitionClass.D:
-        # T_0 = (-q;q)_inf; T_m / T_(m-1) = q^2 / (1 + q^m)
-        acc = _sum_by_ratio(order, 2, ((-1, 1, 0, -1),))
-        return TruncatedSeries(_mul_poch_inf(acc, -1, 1, 1), order)
+        return _cached(cls, order, _gf_d)
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-@_keep_highest_order
 def gf_c_variant(form: str, order: int) -> TruncatedSeries:
     """One of the three equivalent sum forms of the class-C generating function.
 
@@ -299,7 +295,7 @@ def gf_c_variant(form: str, order: int) -> TruncatedSeries:
     """
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
-    return TruncatedSeries(_sum_by_ratio(order, 2, _C_FORM_RATIOS[form]), order)
+    return _c_form(form, order)
 
 
 def _inner_m_sum(order: int, gap: int) -> list[int]:
@@ -370,7 +366,6 @@ _CHAIN_STAGE_BUILDERS = {
 CHAIN_STAGES = tuple(_CHAIN_STAGE_BUILDERS)
 
 
-@_keep_highest_order
 def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     """One stage of the derivation chain connecting class C to class D.
 
@@ -380,7 +375,10 @@ def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     """
     if stage not in CHAIN_STAGES:
         raise ValueError(f"unknown chain stage: {stage!r}")
-    return TruncatedSeries(_CHAIN_STAGE_BUILDERS[stage](order), order)
+    return _cached(stage, order, _CHAIN_STAGE_BUILDERS[stage])
+
+
+gf_class.cache_clear = gf_c_variant.cache_clear = gf_c_chain_stage.cache_clear = _held.clear
 
 
 def _euler_lhs(c: int, sign: int, order: int) -> list[int]:

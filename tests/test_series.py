@@ -1,4 +1,5 @@
 import gc
+import inspect
 import re
 from collections import Counter
 
@@ -351,7 +352,7 @@ def _held_series() -> list[TruncatedSeries]:
 
 def test_identities_build_each_series_once(build_steps):
     # On a cold cache the five identities take the steps of one build of each
-    # of the 12 series, and on a warm cache none: half_D reads its right side,
+    # of the 11 series, and on a warm cache none: half_D reads its right side,
     # gf(D) + 1 - q, from the cached final chain stage.
     for name in IDENTITY_NAMES:
         assert verify_identity(name, 30).passed, name
@@ -381,7 +382,10 @@ def test_cached_series_match_reference(build_steps):
 
 
 def test_higher_order_rebuilds(build_steps):
+    # From empty caches each time: gf(C) and the form sum_over_largest share
+    # one entry, so the second of them would be served the first's build.
     for builder, arg, slow in BUILDS:
+        _clear_caches()
         low = builder(arg, 20)
         build_steps.clear()
         high = builder(arg, 30)
@@ -415,6 +419,49 @@ def test_served_prefixes_equal_cold_builds(build_steps):
             builder(arg, -1)
         assert str(info.value) == errors[arg], arg
     assert not build_steps
+
+
+@pytest.mark.parametrize("first", ["class", "form"])
+def test_gf_c_and_its_first_form_share_one_build(build_steps, first):
+    # gf(C) is the form sum_over_largest: whichever is asked first builds it,
+    # and the other is served the same series without a build step.
+    calls = {
+        "class": lambda: gf_class(C, 40),
+        "form": lambda: gf_c_variant("sum_over_largest", 40),
+    }
+    built = calls[first]()
+    build_steps.clear()
+    other = calls["form" if first == "class" else "class"]()
+    assert other is built
+    assert not build_steps
+
+
+FIRST_PARAMETER = {gf_class: "cls", gf_c_variant: "form", gf_c_chain_stage: "stage"}
+
+
+def test_keyword_calls_match_positional_calls():
+    for builder, arg, _ in BUILDS:
+        keyword = builder(**{FIRST_PARAMETER[builder]: arg, "order": 25})
+        assert keyword == builder(arg, 25), arg
+        assert builder(arg, order=12) == builder(arg, 12), arg
+
+
+def test_builders_keep_their_signatures():
+    for builder, first in FIRST_PARAMETER.items():
+        assert list(inspect.signature(builder).parameters) == [first, "order"]
+
+
+@pytest.mark.parametrize(
+    "builder,arg", [(gf_class, C), (gf_c_variant, "odd_poch_ratio"), (gf_c_chain_stage, "final")]
+)
+def test_wrong_argument_counts_raise_the_builders_type_error(builder, arg):
+    name = builder.__name__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing 1 required positional argument: 'order'$"):
+        builder(arg)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes 2 positional arguments but 3 were given$"):
+        builder(arg, 5, 5)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected keyword argument 'depth'$"):
+        builder(arg, 5, depth=1)
 
 
 def _fault_at_q17_of_gf_c(monkeypatch) -> list[TruncatedSeries]:
@@ -461,13 +508,14 @@ def test_fault_is_seen_through_a_higher_order_warm_cache(monkeypatch):
 
 def test_cache_stays_bounded(build_steps):
     # Orders 0..99 of every builder leave one series per first argument, the
-    # one at order 99: 12 series in all.
+    # one at order 99, with gf(C) and the form sum_over_largest sharing one:
+    # 11 series in all.
     before = {id(s) for s in _held_series()}
     for order in range(100):
         for builder, arg, _ in BUILDS:
             builder(arg, order)
     held = [s for s in _held_series() if id(s) not in before]
-    assert len(held) == len(BUILDS) == 12
+    assert len(held) == len(BUILDS) - 1 == 11
     assert {s.order for s in held} == {99}
     build_steps.clear()
     for builder, arg, _ in BUILDS:
@@ -521,7 +569,7 @@ WITH_LOG = (4.36, 4.44)
 COEFF_UPDATES = {
     "euler_AB": (47_125, 751_000, QUADRATIC),
     "shift_BC": (52_062, 833_250, QUADRATIC),
-    "chain_C": (491_635, 8_503_705, (QUADRATIC[0], WITH_LOG[1])),
+    "chain_C": (455_323, 7_920_955, (QUADRATIC[0], WITH_LOG[1])),
     "half_D": (78_064, 1_249_752, QUADRATIC),
     "thm_all": (125_187, 2_000_750, QUADRATIC),
     "factored": (54_562, 874_500, QUADRATIC),
