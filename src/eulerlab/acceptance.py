@@ -206,14 +206,17 @@ def oracle_equivalence(n_max: int = 30) -> str:
 
 
 CRITERIA: dict[str, Callable[[], CriterionResult]] = {
-    "golden_table": golden_table,
-    "theorem_by_enumeration": theorem_by_enumeration,
-    "theorem_by_series": theorem_by_series,
-    "c_forms_match_b": c_forms_match_b,
-    "chain_stages": chain_stages,
-    "euler_expansion": euler_expansion,
-    "bijection_suite": bijection_suite,
-    "oracle_equivalence": oracle_equivalence,
+    criterion.__name__: criterion
+    for criterion in (
+        golden_table,
+        theorem_by_enumeration,
+        theorem_by_series,
+        c_forms_match_b,
+        chain_stages,
+        euler_expansion,
+        bijection_suite,
+        oracle_equivalence,
+    )
 }
 
 

@@ -41,7 +41,15 @@ MAX_N = 1000
 MAX_CUTOFF = 100
 
 CLASS_LETTERS = tuple(cls.value for cls in PartitionClass)
-BIJECTIONS = ("glaisher", "glaisher-inv", "d-reduce", "d-lift", "c2b", "b2c")
+# Each --bijection's function in maps and the class of its image.
+BIJECTIONS = {
+    "glaisher": ("glaisher_to_odd", PartitionClass.B),
+    "glaisher-inv": ("glaisher_to_distinct", PartitionClass.A),
+    "d-reduce": ("d_reduce", PartitionClass.A),
+    "d-lift": ("d_lift", PartitionClass.D),
+    "c2b": ("c_to_b", PartitionClass.B),
+    "b2c": ("b_to_c", PartitionClass.C),
+}
 # The fields of a verify record, each read from and into a VerificationReport.
 VERIFY_FIELDS = ("name", "order", "passed", "exponent", "lhs", "rhs", "context")
 
@@ -160,29 +168,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
+    from . import maps
 
     name = args.bijection
     p = parse_partition(args.partition, allow_zeros=name == "d-reduce")
     if p.weight > MAX_N:
         raise UsageError(f"partition weight must be at most {MAX_N}")
     record = {"type": "map", "bijection": name, "input": list(p.parts)}
-    if name == "glaisher":
-        image, out_cls = glaisher_to_odd(p), PartitionClass.B
-    elif name == "glaisher-inv":
-        image, out_cls = glaisher_to_distinct(p), PartitionClass.A
-    elif name == "c2b":
-        image, out_cls = c_to_b(p), PartitionClass.B
-    elif name == "b2c":
-        image, out_cls = b_to_c(p), PartitionClass.C
-    elif name == "d-lift":
+    function, out_cls = BIJECTIONS[name]
+    apply = getattr(maps, function)  # looked up per call, so a rebinding reaches it
+    if name == "d-lift":
         if args.bit is None:
             raise UsageError("d-lift needs --bit 0 or 1")
-        image, out_cls = d_lift(p, args.bit), PartitionClass.D
-    else:  # d-reduce
-        image, tag = d_reduce(p)
-        out_cls = PartitionClass.A
+        image = apply(p, args.bit)
+    elif name == "d-reduce":
+        image, tag = apply(p)
         record.update({"case": tag.case.value, "case_number": tag.case_number, "bit": tag.bit})
+    else:
+        image = apply(p)
     record.update({"parts": list(image.parts), "output_class": out_cls.value})
     _emit([record], args.format)
     return 0
@@ -296,29 +299,26 @@ class _Subcommand(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+# Each subcommand's help, argument builder and command, in the order of --help.
+COMMANDS = {
+    "count": ("count partitions of one class", _count_arguments, cmd_count),
+    "enumerate": ("list partitions of one class", _enumerate_arguments, cmd_enumerate),
+    "map": ("apply one of the class maps", _map_arguments, cmd_map),
+    "verify": ("run one identity check", _verify_arguments, cmd_verify),
+    "series": ("dump a generating function as TSV", _series_arguments, cmd_series),
+    "selftest": ("run the acceptance suite", _selftest_arguments, cmd_selftest),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerlab",
         description="Count, list, map, and verify the four partition classes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
-    sub.add_parser("count", help="count partitions of one class", arguments=_count_arguments)
-    sub.add_parser("enumerate", help="list partitions of one class", arguments=_enumerate_arguments)
-    sub.add_parser("map", help="apply one of the class maps", arguments=_map_arguments)
-    sub.add_parser("verify", help="run one identity check", arguments=_verify_arguments)
-    sub.add_parser("series", help="dump a generating function as TSV", arguments=_series_arguments)
-    sub.add_parser("selftest", help="run the acceptance suite", arguments=_selftest_arguments)
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, arguments=arguments)
     return parser
-
-
-COMMANDS = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "map": cmd_map,
-    "verify": cmd_verify,
-    "series": cmd_series,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_ranges(args)
-        return COMMANDS[args.subcommand](args)
+        _, _, command = COMMANDS[args.subcommand]
+        return command(args)
     except ClassMembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -155,32 +155,38 @@ def is_in_class(p: Partition, cls: PartitionClass) -> bool:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def _gen_distinct(
-    n: int, floor: int = 1, tail: tuple[int, ...] = ()
+def _gen_parts(
+    n: int, floor: int = 1, head: tuple = (), tail: tuple = (), half: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into distinct parts, each >= floor, lex decreasing.
+    """Partitions of n into parts in floor..2*half, lex decreasing.
 
-    Each listed tuple is followed by `tail`.  One flat depth-first loop over
-    `parts`: try candidates from the largest down while the staircase
-    floor + ... + cand still covers what remains; a candidate equal to what
-    remains completes a partition, a smaller one is pushed, and a failed
-    test pops the last part and goes on with the next smaller one.
+    Parts <= half are distinct, parts above it may repeat, and each listed
+    tuple is head + parts + tail: half = n (the default) lists class A, and
+    head (2N,) with half N lists class C.  One flat depth-first loop: try
+    candidates from the largest down while one exceeds half or the staircase
+    floor + ... + cand still covers what remains; one equal to what remains
+    completes a partition, a smaller one is pushed, and a failed test pops
+    the last part and goes on with the next smaller one.
     """
     if n == 0:
-        yield tail
+        yield head + tail
         return
+    if half is None:
+        half = n
     below_floor = (floor - 1) * floor // 2
     parts: list[int] = []
-    remaining = cand = n
+    remaining = n
+    cand = min(2 * half, n)
     while True:
-        if cand >= floor and cand * (cand + 1) // 2 - below_floor >= remaining:
+        if cand >= floor and (cand > half or cand * (cand + 1) // 2 - below_floor >= remaining):
             if cand == remaining:
-                yield (*parts, cand, *tail)
+                yield (*head, *parts, cand, *tail)
                 cand -= 1
                 continue
             parts.append(cand)
             remaining -= cand
-            cand -= 1
+            if cand <= half:  # parts <= half may not repeat
+                cand -= 1
             if cand > remaining:
                 cand = remaining
             continue
@@ -224,49 +230,22 @@ def _gen_odd(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _gen_class_c(n: int) -> Iterator[tuple[int, ...]]:
-    """Class-C partitions of n: largest part 2N even, parts <= N distinct.
-
-    For each largest part, one flat depth-first loop like _gen_distinct's,
-    except that a part above N may repeat and is tried without a bound test.
-    """
-    for largest in range(2 * (n // 2), 1, -2):
-        half = largest // 2
-        parts = [largest]
-        remaining = n - largest
-        if remaining == 0:
-            yield (largest,)
-            continue
-        cand = min(largest, remaining)
-        while True:
-            if cand > half or cand * (cand + 1) // 2 >= remaining:
-                if cand == remaining:
-                    yield (*parts, cand)
-                    cand -= 1
-                    continue
-                parts.append(cand)
-                remaining -= cand
-                if cand <= half:  # parts <= N may not repeat
-                    cand -= 1
-                if cand > remaining:
-                    cand = remaining
-                continue
-            if len(parts) == 1:
-                break
-            last = parts.pop()
-            remaining += last
-            cand = last - 1
+    """Class-C partitions of n: largest part 2N even, parts <= N distinct."""
+    return chain.from_iterable(
+        _gen_parts(n - 2 * half, head=(2 * half,), half=half) for half in range(n // 2, 0, -1)
+    )
 
 
 def _gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
     """Class-D partitions of n: distinct parts, or the smallest part doubled."""
     return chain(
-        _gen_distinct(n),
-        *(_gen_distinct(n - 2 * s, s + 1, (s, s)) for s in range(1, n // 2 + 1)),
+        _gen_parts(n),
+        *(_gen_parts(n - 2 * s, s + 1, tail=(s, s)) for s in range(1, n // 2 + 1)),
     )
 
 
 _GENERATORS = {
-    PartitionClass.A: _gen_distinct,
+    PartitionClass.A: _gen_parts,
     PartitionClass.B: _gen_odd,
     PartitionClass.C: _gen_class_c,
     PartitionClass.D: _gen_class_d,

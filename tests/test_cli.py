@@ -201,6 +201,69 @@ def test_map_d_lift_renders_class_d(capsys):
     assert out == "0+0+7\n"
 
 
+# The json-lines record of each bijection, d-reduce once per case.
+MAP_RECORDS = [
+    (["glaisher", "6"], {"input": [6], "parts": [3, 3], "output_class": "B"}),
+    (["glaisher-inv", "3+1+1+1"], {"input": [3, 1, 1, 1], "parts": [3, 2, 1], "output_class": "A"}),
+    (
+        ["d-reduce", "0+0+7"],
+        {
+            "input": [7],
+            "parts": [6],
+            "output_class": "A",
+            "case": "single_part",
+            "case_number": 1,
+            "bit": 0,
+        },
+    ),
+    (
+        ["d-reduce", "2+2+3"],
+        {
+            "input": [3, 2, 2],
+            "parts": [3, 2, 1],
+            "output_class": "A",
+            "case": "smallest_above_one",
+            "case_number": 2,
+            "bit": 0,
+        },
+    ),
+    (
+        ["d-reduce", "1+1+5"],
+        {
+            "input": [5, 1, 1],
+            "parts": [5, 1],
+            "output_class": "A",
+            "case": "smallest_equals_one",
+            "case_number": 3,
+            "bit": 1,
+        },
+    ),
+    (["d-lift", "--bit", "0", "5+1"], {"input": [5, 1], "parts": [5, 2], "output_class": "D"}),
+    (["d-lift", "--bit", "1", "5+1"], {"input": [5, 1], "parts": [5, 1, 1], "output_class": "D"}),
+    (["c2b", "2+2+2+1"], {"input": [2, 2, 2, 1], "parts": [1] * 6, "output_class": "B"}),
+    (["b2c", "3+1+1+1"], {"input": [3, 1, 1, 1], "parts": [4, 2, 1], "output_class": "C"}),
+]
+
+
+@pytest.mark.parametrize("argv,fields", MAP_RECORDS, ids=[" ".join(a) for a, _ in MAP_RECORDS])
+def test_map_json_lines_record(capsys, argv, fields):
+    code, out, err = run(capsys, "map", "--bijection", *argv, "--format", "json-lines")
+    record = {"type": "map", "bijection": argv[0], **fields}
+    assert (code, out, err) == (0, json.dumps(record, sort_keys=True) + "\n", "")
+
+
+BIT_IGNORED = [argv for argv, _ in MAP_RECORDS if argv[0] != "d-lift"]
+
+
+@pytest.mark.parametrize("argv", BIT_IGNORED, ids=[" ".join(argv) for argv in BIT_IGNORED])
+@pytest.mark.parametrize("fmt", ["plain", "json-lines"])
+def test_map_ignores_bit_except_for_d_lift(capsys, argv, fmt):
+    without = run(capsys, "map", "--bijection", *argv, "--format", fmt)
+    assert without[0] == 0
+    for bit in ("0", "1"):
+        assert run(capsys, "map", "--bijection", *argv, "--bit", bit, "--format", fmt) == without
+
+
 def test_map_class_violation_exit_1(capsys):
     code, _, err = run(capsys, "map", "--bijection", "c2b", "3+3")
     assert code == 1

@@ -168,7 +168,7 @@ def test_generator_matches_recursive_reference(cls):
 def test_distinct_generator_with_floor_matches_recursive_reference():
     for n in range(0, 41):
         for floor in range(1, n + 2):
-            got = list(partitions._gen_distinct(n, floor))
+            got = list(partitions._gen_parts(n, floor))
             assert got == list(oracle.slow_gen_distinct(n, floor)), (n, floor)
 
 
