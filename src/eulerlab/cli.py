@@ -33,9 +33,9 @@ DEFAULT_ORDER = 200
 # fresh interpreter: verify --identity chain_C --order 2000 about 2 s; a count
 # at --n 1000 by dynamic program or series coefficient at most 0.15 s, 0.06 to
 # 0.09 s of it start-up; enumerate --class D --n 100 --cutoff 100, 818,348
-# partitions, 21 s and 194 MB, and the same count by enumeration 12 s and
-# 17 MB.  Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120 would
-# cost about 5x.
+# partitions, 10-11 s and 153 MB, and the same count by enumeration 3.3-3.8 s
+# and 15 MB.  Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120
+# would cost about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000
 MAX_CUTOFF = 100

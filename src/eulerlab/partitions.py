@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from enum import Enum
+from functools import partial
 from itertools import chain
 
 DEFAULT_ENUMERATION_CUTOFF = 60
@@ -155,98 +156,86 @@ def is_in_class(p: Partition, cls: PartitionClass) -> bool:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-def _gen_parts(
-    n: int, floor: int = 1, head: tuple = (), tail: tuple = (), half: int | None = None
+def _gen(
+    n: int,
+    floor: int = 1,
+    head: tuple = (),
+    tail: tuple = (),
+    half: int | None = None,
+    cap: int | None = None,
+    step: int = 1,
 ) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts in floor..2*half, lex decreasing.
+    """Partitions of n into parts in floor..cap with p = floor (mod step).
 
-    Parts <= half are distinct, parts above it may repeat, and each listed
-    tuple is head + parts + tail: half = n (the default) lists class A, and
-    head (2N,) with half N lists class C.  One flat depth-first loop: try
-    candidates from the largest down while one exceeds half or the staircase
-    floor + ... + cand still covers what remains; one equal to what remains
-    completes a partition, a smaller one is pushed, and a failed test pops
-    the last part and goes on with the next smaller one.
+    Parts <= half are distinct and larger parts may repeat; half and cap
+    default to n, so _gen(n) lists class A.  Each tuple is head + parts + tail
+    with the parts non-increasing, and (n,), if allowed, comes first; the
+    rest come in no set order.  The parts are built as ascending compositions
+    (Kelleher and O'Sullivan, arXiv:0909.2331): a stack holds states (least
+    next part, remainder, parts chosen so far, largest first), and one inner
+    loop walks the last two parts (x, r - x), so most partitions cost one
+    step.  floor >= 1.
     """
     if n == 0:
         yield head + tail
         return
     if half is None:
         half = n
-    below_floor = (floor - 1) * floor // 2
-    parts: list[int] = []
-    remaining = n
-    cand = min(2 * half, n)
-    while True:
-        if cand >= floor and (cand > half or cand * (cand + 1) // 2 - below_floor >= remaining):
-            if cand == remaining:
-                yield (*head, *parts, cand, *tail)
-                cand -= 1
+    if cap is None:
+        cap = n
+    if floor <= n <= cap and (n - floor) % step == 0:
+        yield (*head, n, *tail)
+    stack = [(floor, n, tail)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, r, rest = pop()
+        # Two parts x <= r - x have the residue only if r has it; else three
+        # or more parts are left, and then x <= r // 3.
+        pairs = step == 1 or (r - 2 * floor) % step == 0
+        top = r // 2 if pairs else r // 3
+        if top > cap:
+            top = cap
+        while x <= top:
+            y = r - x
+            if x <= half:
+                nx = x + step
+                if y < nx:
+                    break
+            else:
+                nx = x
+            if y <= cap:
+                if pairs:
+                    yield (*head, y, x, *rest)
+            elif nx * ((y - 1) // cap + 1) > y:
+                # y needs ceil(y/cap) parts >= nx, too many to fit, and does
+                # until y drops to the next multiple of cap below it
+                x = r - (y - 1) // cap * cap
+                x += (floor - x) % step
                 continue
-            parts.append(cand)
-            remaining -= cand
-            if cand <= half:  # parts <= half may not repeat
-                cand -= 1
-            if cand > remaining:
-                cand = remaining
-            continue
-        if not parts:
-            return
-        last = parts.pop()
-        remaining += last
-        cand = last - 1
-
-
-def _gen_odd(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into odd parts, lex decreasing.
-
-    Every odd prefix completes with 1s, so there are no dead ends: the loop
-    fills greedily, yields, drops the trailing run of 1s in one step, and
-    refills from the last part above 1, lowered by 2.
-    """
-    parts: list[int] = []
-    size = n  # largest part the next fill may use
-    rest = n  # weight the next fill must place
-    while True:
-        while rest:
-            if size > rest:
-                size = rest
-            if size % 2 == 0:
-                size -= 1
-            if size == 1:
-                parts += [1] * rest
-                break
-            parts += [size] * (rest // size)
-            rest %= size
-        yield tuple(parts)
-        ones = rest if size == 1 else 0
-        if ones == len(parts):
-            return
-        if ones:
-            del parts[-ones:]
-        last = parts.pop()
-        rest = ones + last
-        size = last - 2
+            if y >= nx + (nx + step if nx <= half else nx):
+                push((nx, y, (x, *rest)))
+            x += step
 
 
 def _gen_class_c(n: int) -> Iterator[tuple[int, ...]]:
     """Class-C partitions of n: largest part 2N even, parts <= N distinct."""
     return chain.from_iterable(
-        _gen_parts(n - 2 * half, head=(2 * half,), half=half) for half in range(n // 2, 0, -1)
+        _gen(n - 2 * half, head=(2 * half,), half=half, cap=2 * half)
+        for half in range(n // 2, 0, -1)
     )
 
 
 def _gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
     """Class-D partitions of n: distinct parts, or the smallest part doubled."""
     return chain(
-        _gen_parts(n),
-        *(_gen_parts(n - 2 * s, s + 1, tail=(s, s)) for s in range(1, n // 2 + 1)),
+        _gen(n),
+        *(_gen(n - 2 * s, s + 1, tail=(s, s)) for s in range(1, n // 2 + 1)),
     )
 
 
 _GENERATORS = {
-    PartitionClass.A: _gen_parts,
-    PartitionClass.B: _gen_odd,
+    PartitionClass.A: _gen,
+    PartitionClass.B: partial(_gen, half=0, step=2),
     PartitionClass.C: _gen_class_c,
     PartitionClass.D: _gen_class_d,
 }

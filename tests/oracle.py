@@ -5,7 +5,8 @@ generated by a different recursion and the class predicates are re-derived
 from the definitions, so agreement with eulerlab is a two-route check.
 
 The slow-listing part keeps the package's original recursive class
-generators, against which the flat generators are checked tuple by tuple.
+generators.  The package's generators must list the same tuples, in any
+order, and enumerate_class these tuples sorted lex decreasing.
 
 The slow-counting part keeps the package's original O(n^3) class-C dynamic
 program, against which the O(n^2) table update is checked count by count.
@@ -14,7 +15,11 @@ The slow-series part keeps the original O(N^3) series builders, which rebuild
 every summand from scratch as a product, a reciprocal or a series product.
 They use only the generic TruncatedSeries ring and pochhammer of
 eulerlab.series (tested on their own), not the in-place term-ratio kernel
-that the package builders use, so the kernel is checked against them.
+that the package builders use, so the kernel is checked against them.  Each
+one builds a key once, at the highest order asked for so far, and serves
+lower orders as prefixes: a coefficient of a truncated series does not
+depend on where the series is cut, and a test that asks for its highest
+order first builds the cubic reference only there.
 
 The front-to-back part keeps the package's original term-ratio evaluator,
 which adds every summand into a full-length output, as a second reference
@@ -25,6 +30,7 @@ which are checked on their own against the ring, but not the fold.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Callable, Iterator, Sequence
 
@@ -117,8 +123,9 @@ def merge_to_distinct(parts: Sequence[int]) -> tuple[int, ...]:
 
 # ----------------------------------------------------------- slow listing
 # The package's original recursive class generators, kept verbatim: each
-# listed tuple climbs a yield-from chain as deep as it has parts.  The flat
-# loops of eulerlab.partitions must emit exactly these tuples in this order.
+# listed tuple climbs a yield-from chain as deep as it has parts.  They list
+# lex decreasing within each chained piece; the ascending-composition loop of
+# eulerlab.partitions must list the same tuples, in its own order.
 
 
 def slow_gen_distinct(n: int, floor: int = 1) -> Iterator[tuple[int, ...]]:
@@ -229,6 +236,27 @@ def slow_dp_counts_c(n_max: int) -> list[int]:
 
 # ------------------------------------------------------------ slow series
 
+_Series = TruncatedSeries | list[int]
+
+
+def _served_as_prefixes(build: Callable[..., _Series]) -> Callable[..., _Series]:
+    """Build each key (every argument but the last, the order) only when its
+    order is above the highest one built, and serve lower orders as prefixes."""
+    built: dict[tuple, tuple[int, _Series]] = {}
+
+    @functools.wraps(build)
+    def serve(*args):
+        *key, order = args
+        key = tuple(key)
+        if key not in built or built[key][0] < order:
+            built[key] = (order, build(*args))
+        series = built[key][1]
+        if isinstance(series, TruncatedSeries):
+            return TruncatedSeries(series.coeffs, order)
+        return series[: order + 1]
+
+    return serve
+
 
 def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> TruncatedSeries:
     return pochhammer(PochSpec(sign, offset, step, terms), order)
@@ -244,6 +272,7 @@ def _add_shifted(target: list[int], coeffs: Sequence[int], shift: int) -> None:
             target[k] += c
 
 
+@_served_as_prefixes
 def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     if cls is PartitionClass.A:
         return _poch(-1, 1, 1, None, order)
@@ -262,6 +291,7 @@ def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
+@_served_as_prefixes
 def slow_c_variant(form: str, order: int) -> TruncatedSeries:
     if form not in C_FORMS:
         raise ValueError(f"unknown C form: {form!r}")
@@ -283,6 +313,7 @@ def slow_c_variant(form: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
+@_served_as_prefixes
 def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
     if stage not in CHAIN_STAGES:
         raise ValueError(f"unknown chain stage: {stage!r}")
@@ -363,11 +394,13 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
+@_served_as_prefixes
 def slow_euler_lhs(c: int, sign: int, order: int) -> list[int]:
     """1/(t;q)_inf at t = sign*q^c, coefficients 0..order."""
     return list(_poch(sign, c, 1, None, order).reciprocal().coeffs)
 
 
+@_served_as_prefixes
 def slow_euler_rhs(c: int, sign: int, order: int) -> list[int]:
     """sum_m t^m/(q;q)_m at t = sign*q^c, coefficients 0..order."""
     rhs = [0] * (order + 1)

@@ -1,3 +1,6 @@
+import functools
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -156,20 +159,91 @@ SLOW_GENERATORS = {
 }
 
 
-@pytest.mark.parametrize("cls", list(PartitionClass))
+@functools.lru_cache(maxsize=1)
+def slow_listings(cls: PartitionClass) -> tuple[list[tuple[int, ...]], ...]:
+    """The recursive reference's listings of weights 0..61, for one class at a time."""
+    return tuple(list(SLOW_GENERATORS[cls](n)) for n in range(0, 62))
+
+
+# Grouped by class, so the two tests of one class share its reference listings.
+@pytest.mark.parametrize("cls", list(PartitionClass), scope="module")
 def test_generator_matches_recursive_reference(cls):
     # Raw generator output, before enumerate_class sorts it: the same tuples
-    # in the same order as the original recursion.
+    # as the original recursion, each once, in any order.
     flat = partitions._GENERATORS[cls]
-    for n in range(0, 62):
-        assert list(flat(n)) == list(SLOW_GENERATORS[cls](n)), n
+    for n, expected in enumerate(slow_listings(cls)):
+        got = Counter(flat(n))
+        assert got == Counter(expected), n
+        assert set(got.values()) <= {1}, n
 
 
 def test_distinct_generator_with_floor_matches_recursive_reference():
+    # Class D lists distinct parts above a floor s + 1, then the tail (s, s).
     for n in range(0, 41):
         for floor in range(1, n + 2):
-            got = list(partitions._gen_parts(n, floor))
-            assert got == list(oracle.slow_gen_distinct(n, floor)), (n, floor)
+            expected = list(oracle.slow_gen_distinct(n, floor))
+            for tail in ((), (floor - 1, floor - 1)):
+                got = Counter(partitions._gen(n, floor, tail=tail))
+                assert got == Counter(t + tail for t in expected), (n, floor, tail)
+                assert set(got.values()) <= {1}, (n, floor, tail)
+
+
+@pytest.mark.parametrize("cls", list(PartitionClass), scope="module")
+def test_enumerate_class_is_sorted_reference(cls):
+    # The sort in enumerate_class is the only guarantee of order: the
+    # generators list in their own order.
+    for n, expected in enumerate(slow_listings(cls)):
+        listed = [p.parts for p in enumerate_class(n, cls, cutoff=61)]
+        assert listed == sorted(expected, reverse=True), n
+
+
+@st.composite
+def loop_arguments(draw):
+    """n <= 30 and the arguments of one class's call of the loop, or random ones."""
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from("ABCDR"))
+    if kind == "A":
+        return n, {}
+    if kind == "B":
+        return n, {"half": 0, "step": 2}
+    if kind == "C":
+        half = draw(st.integers(1, 16))
+        return n, {"head": (2 * half,), "half": half, "cap": 2 * half}
+    if kind == "D":
+        s = draw(st.integers(1, 15))
+        return n, {"floor": s + 1, "tail": (s, s)}
+    return n, {
+        "floor": draw(st.integers(1, 8)),
+        "half": draw(st.integers(0, 31)),
+        "cap": draw(st.integers(1, 31)),
+        "step": draw(st.sampled_from([1, 2])),
+    }
+
+
+@given(loop_arguments())
+def test_loop_matches_brute_filter(arguments):
+    n, kw = arguments
+    floor, step = kw.get("floor", 1), kw.get("step", 1)
+    half, cap = kw.get("half", n), kw.get("cap", n)
+    head, tail = kw.get("head", ()), kw.get("tail", ())
+
+    def allowed(parts):
+        small = [p for p in parts if p <= half]
+        return len(set(small)) == len(small) and all(
+            floor <= p <= cap and (p - floor) % step == 0 for p in parts
+        )
+
+    listed = list(partitions._gen(n, **kw))
+    assert len(set(listed)) == len(listed)
+    assert all(t[: len(head)] == head and t[len(t) - len(tail) :] == tail for t in listed)
+    assert all(min(t, default=1) >= 1 and list(t) == sorted(t, reverse=True) for t in listed)
+    middles = {t[len(head) : len(t) - len(tail)] for t in listed}
+    assert middles == {p for p in all_partitions(n) if allowed(p)}
+
+
+@functools.cache
+def all_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(oracle.all_partitions(n))
 
 
 def test_enumerate_cutoff():
