@@ -31,8 +31,9 @@ DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
 # split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
 # fresh interpreter: verify --identity chain_C --order 2000 about 2 s; a count
-# at --n 1000 by dynamic program or series coefficient at most 0.15 s, 0.06 to
-# 0.09 s of it start-up; enumerate --class D --n 100 --cutoff 100, 818,348
+# at --n 1000 by dynamic program or series coefficient at most 0.15 s, 0.05 to
+# 0.09 s of it start-up (class D by dynamic program 0.07-0.14 s, median 0.08 s
+# of 7); enumerate --class D --n 100 --cutoff 100, 818,348
 # partitions, 10-11 s and 153 MB, and the same count by enumeration 3.3-3.8 s
 # and 15 MB.  Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120
 # would cost about 5x.

@@ -331,16 +331,16 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
             out[2 * half :] = [x + y for x, y in zip(out[2 * half :], dp)]
         return out
     if cls is PartitionClass.D:
-        # Two-to-one reduction onto distinct partitions of n-1; the n=0 and
-        # n=1 values are the conventions that keep every method in agreement.
-        distinct = _dp_counts(PartitionClass.A, max(n_max - 1, 0))
+        # Condition on the doubled smallest part s: the other parts are
+        # distinct and above s, T_s = prod_{k>s} (1+q^k), and T_0 (no doubled
+        # part) is class A.  Two distinct parts above n_max // 2 exceed n_max.
+        top = n_max // 2
+        t = [1] + [0] * top + [1] * (n_max - top)
         out = [0] * (n_max + 1)
-        out[0] = 1
-        if n_max >= 1:
-            out[1] = 1
-        for n in range(2, n_max + 1):
-            out[n] = 2 * distinct[n - 1]
-        return out
+        for s in range(top, 0, -1):
+            out[2 * s :] = [x + y for x, y in zip(out[2 * s :], t)]
+            _mul_factor(t, -1, s)
+        return [x + y for x, y in zip(out, t)]
     raise TypeError(f"not a partition class: {cls!r}")
 
 

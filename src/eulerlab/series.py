@@ -31,8 +31,8 @@ class TruncatedSeries(_Immutable):
 
     Instances are immutable (assigning or deleting an attribute raises
     AttributeError), so one built series can be shared by every caller.
-    Only the test oracle and the benchmark tracer use +, * and reciprocal,
-    which return new series truncated to the smaller operand order.
+    Only the benchmark tracer uses +, * and reciprocal, which return new
+    series truncated to the smaller operand order.
     """
 
     __slots__ = ("order", "coeffs")

@@ -1,5 +1,10 @@
 """Independent reference routes used by the tests.
 
+The oracle imports from the package only the labels it is asked about:
+PartitionClass, the names C_FORMS and CHAIN_STAGES, and the Ratio type.  It
+keeps its own copies of the generic series ring and of the in-place factor
+kernel, so no reference runs the package code it checks.
+
 The brute-force part shares no code with the package: partitions are
 generated by a different recursion and the class predicates are re-derived
 from the definitions, so agreement with eulerlab is a two-route check.
@@ -11,21 +16,24 @@ order, and enumerate_class these tuples sorted lex decreasing.
 The slow-counting part keeps the package's original O(n^3) class-C dynamic
 program, against which the O(n^2) table update is checked count by count.
 
+The ring part is a copy of the generic TruncatedSeries ring of
+eulerlab.series (+, * and reciprocal) and of its pochhammer, and the kernel
+part a copy of the in-place factor passes of eulerlab.partitions, written as
+the loops their docstrings state.
+
 The slow-series part keeps the original O(N^3) series builders, which rebuild
-every summand from scratch as a product, a reciprocal or a series product.
-They use only the generic TruncatedSeries ring and pochhammer of
-eulerlab.series (tested on their own), not the in-place term-ratio kernel
-that the package builders use, so the kernel is checked against them.  Each
-one builds a key once, at the highest order asked for so far, and serves
-lower orders as prefixes: a coefficient of a truncated series does not
-depend on where the series is cut, and a test that asks for its highest
-order first builds the cubic reference only there.
+every summand from scratch as a product, a reciprocal or a series product in
+the ring part, not with the in-place term-ratio kernel that the package
+builders use, so the kernel is checked against them.  Each one builds a key
+once, at the highest order asked for so far, and serves lower orders as
+prefixes: a coefficient of a truncated series does not depend on where the
+series is cut, and a test that asks for its highest order first builds the
+cubic reference only there.
 
 The front-to-back part keeps the package's original term-ratio evaluator,
 which adds every summand into a full-length output, as a second reference
-for the Horner fold that replaced it.  It shares the package's in-place
-factor passes of eulerlab.partitions, which the dynamic programs use too and
-which are checked on their own against the ring, but not the fold.
+for the Horner fold that replaced it.  It runs the kernel part, not the
+package's kernel.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ import functools
 from collections import Counter
 from typing import Callable, Iterator, Sequence
 
-from eulerlab.partitions import PartitionClass, _div_factor, _mul_factor
-from eulerlab.series import C_FORMS, CHAIN_STAGES, PochSpec, Ratio, TruncatedSeries, pochhammer
+from eulerlab.partitions import PartitionClass
+from eulerlab.series import C_FORMS, CHAIN_STAGES, Ratio
 
 
 def all_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -234,6 +242,97 @@ def slow_dp_counts_c(n_max: int) -> list[int]:
     return out
 
 
+# ------------------------------------------------------------------- ring
+# A copy of the generic ring of eulerlab.series: exact integer series known
+# for exponents 0..order, with +, * and reciprocal truncated to the smaller
+# order, and the product of factors (1 - sign*q^(offset + step*i)).
+
+
+class TruncatedSeries:
+    """Integer power series known exactly for exponents 0..order."""
+
+    def __init__(self, coeffs: Sequence[int], order: int | None = None):
+        if order is None:
+            order = len(coeffs) - 1
+        padded = list(coeffs[: order + 1])
+        padded.extend([0] * (order + 1 - len(padded)))
+        self.order = order
+        self.coeffs = tuple(padded)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        order = min(self.order, other.order)
+        return TruncatedSeries(
+            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return TruncatedSeries([other * c for c in self.coeffs], self.order)
+        order = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (order + 1)
+        for i in range(order + 1):
+            ai = a[i]
+            if not ai:
+                continue
+            for j in range(order + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+        return TruncatedSeries(out, order)
+
+    def reciprocal(self) -> "TruncatedSeries":
+        """Inverse modulo q^(order+1); the constant term must be +1 or -1."""
+        a = self.coeffs
+        c0 = a[0]
+        if c0 not in (1, -1):
+            raise ValueError(f"constant term {c0} is not +1 or -1")
+        n = self.order
+        b = [0] * (n + 1)
+        b[0] = c0
+        for m in range(1, n + 1):
+            acc = 0
+            for k in range(1, m + 1):
+                ak = a[k]
+                if ak:
+                    acc += ak * b[m - k]
+            b[m] = -c0 * acc
+        return TruncatedSeries(b, n)
+
+
+def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> TruncatedSeries:
+    """Product of (1 - sign*q^(offset + step*i)) for i < terms (all i if None)."""
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    i = 0
+    while terms is None or i < terms:
+        e = offset + step * i
+        if e > order:
+            break
+        for j in range(order, e - 1, -1):
+            c = coeffs[j - e]
+            if c:
+                coeffs[j] -= sign * c
+        i += 1
+    return TruncatedSeries(coeffs, order)
+
+
+# ----------------------------------------------------------------- kernel
+# A copy of the in-place factor passes of eulerlab.partitions, as plain loops.
+
+
+def mul_factor(c: list[int], sign: int, e: int) -> None:
+    """c *= (1 - sign*q^e) in place, truncated at len(c); e >= 1."""
+    for j in range(len(c) - 1, e - 1, -1):
+        c[j] -= sign * c[j - e]
+
+
+def div_factor(c: list[int], sign: int, e: int) -> None:
+    """c /= (1 - sign*q^e) in place, truncated at len(c); e >= 1."""
+    for j in range(e, len(c)):
+        c[j] += sign * c[j - e]
+
+
 # ------------------------------------------------------------ slow series
 
 _Series = TruncatedSeries | list[int]
@@ -258,8 +357,6 @@ def _served_as_prefixes(build: Callable[..., _Series]) -> Callable[..., _Series]
     return serve
 
 
-def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> TruncatedSeries:
-    return pochhammer(PochSpec(sign, offset, step, terms), order)
 
 
 def _add_shifted(target: list[int], coeffs: Sequence[int], shift: int) -> None:
@@ -436,7 +533,7 @@ def slow_sum_by_ratio(
     T_0 is `first`, which is consumed; T_n is T_(n-1) times the factors of
     `ratio` at n.  U_n is 1, or term(n, mo) to relative order mo = order - gap*n.
     """
-    factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
+    factors = [(mul_factor if p == 1 else div_factor, sign, a, b) for sign, a, b, p in ratio]
     out = [0] * (order + 1)
     t = first
     n = 0

@@ -8,8 +8,8 @@ evaluator that adds each summand front to back.  The fold must agree with the
 front-to-back sum on random ratios, and the builders with the slow ones on
 every coefficient from order 0; the package route must not fall back on the
 generic TruncatedSeries ring at all.  The in-place primitives, which live in
-partitions and serve its dynamic programs too, are checked against the ring
-directly.
+partitions and serve its dynamic programs too, are checked against the
+oracle's copy of the ring and against the oracle's copy of the kernel.
 """
 
 import pytest
@@ -46,27 +46,47 @@ exponents = st.integers(1, 18)
 signs = st.sampled_from([1, -1])
 
 
-def _factor(order: int, sign: int, e: int) -> TruncatedSeries:
-    """1 - sign*q^e, truncated at order."""
+def _factor(order: int, sign: int, e: int) -> oracle.TruncatedSeries:
+    """1 - sign*q^e, truncated at order, in the oracle's ring."""
     coeffs = [0] * (e + 1)
     coeffs[0], coeffs[e] = 1, -sign
-    return TruncatedSeries(coeffs, order)
+    return oracle.TruncatedSeries(coeffs, order)
+
+
+# The package's kernel and the oracle's copy, each against the oracle's ring.
+MUL_FACTORS = (_mul_factor, oracle.mul_factor)
+DIV_FACTORS = (_div_factor, oracle.div_factor)
 
 
 @given(coeff_lists, exponents, signs)
 def test_mul_factor_matches_ring_product(coeffs, e, sign):
-    c = list(coeffs)
-    _mul_factor(c, sign, e)
-    expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e)
-    assert TruncatedSeries(c) == expected
+    expected = oracle.TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e)
+    for mul in MUL_FACTORS:
+        c = list(coeffs)
+        mul(c, sign, e)
+        assert tuple(c) == expected.coeffs, mul
 
 
 @given(coeff_lists, exponents, signs)
 def test_div_factor_matches_ring_reciprocal(coeffs, e, sign):
-    c = list(coeffs)
-    _div_factor(c, sign, e)
-    expected = TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e).reciprocal()
-    assert TruncatedSeries(c) == expected
+    expected = oracle.TruncatedSeries(coeffs) * _factor(len(coeffs) - 1, sign, e).reciprocal()
+    for div in DIV_FACTORS:
+        c = list(coeffs)
+        div(c, sign, e)
+        assert tuple(c) == expected.coeffs, div
+
+
+long_lists = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=300)
+
+
+@given(long_lists, st.integers(1, 320), signs)
+def test_kernel_matches_oracle_copy(coeffs, e, sign):
+    # Longer lists and larger coefficients than the ring can check quickly.
+    for ours, theirs in ((_mul_factor, oracle.mul_factor), (_div_factor, oracle.div_factor)):
+        c, expected = list(coeffs), list(coeffs)
+        ours(c, sign, e)
+        theirs(expected, sign, e)
+        assert c == expected, ours
 
 
 @given(coeff_lists, exponents, signs)
@@ -95,7 +115,8 @@ def test_fold_matches_front_to_back_sum(ratio, gap, scale, order, data):
     folded = _sum_by_ratio(order, gap, tuple(ratio), scale, term)
     expected = oracle.slow_sum_by_ratio(order, list(first), gap, tuple(ratio), scale, term)
     # the fold leaves out T_0, which multiplies every summand
-    assert list((TruncatedSeries(folded) * TruncatedSeries(first)).coeffs) == expected
+    product = oracle.TruncatedSeries(folded) * oracle.TruncatedSeries(first)
+    assert list(product.coeffs) == expected
 
 
 # ---------------------------------------------------- differential checks
@@ -104,19 +125,20 @@ def test_fold_matches_front_to_back_sum(ratio, gap, scale, order, data):
 @pytest.mark.parametrize("order", ORDERS)
 def test_gf_class_matches_reference(order):
     for cls in PartitionClass:
-        assert gf_class(cls, order) == oracle.slow_gf_class(cls, order), cls
+        assert gf_class(cls, order).coeffs == oracle.slow_gf_class(cls, order).coeffs, cls
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_c_forms_match_reference(order):
     for form in C_FORMS:
-        assert gf_c_variant(form, order) == oracle.slow_c_variant(form, order), form
+        assert gf_c_variant(form, order).coeffs == oracle.slow_c_variant(form, order).coeffs, form
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_chain_stages_match_reference(order):
     for stage in CHAIN_STAGES:
-        assert gf_c_chain_stage(stage, order) == oracle.slow_chain_stage(stage, order), stage
+        expected = oracle.slow_chain_stage(stage, order).coeffs
+        assert gf_c_chain_stage(stage, order).coeffs == expected, stage
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -325,6 +325,30 @@ def test_class_c_dp_matches_cubic_reference():
         assert partitions._dp_counts(C, n_max) == oracle.slow_dp_counts_c(n_max), n_max
 
 
+def test_class_d_dp_matches_slow_series():
+    # Both parities of n_max // 2, the largest doubled part the table starts
+    # from, against the oracle's sum of products built in its own ring.
+    for n_max in [300, *range(121)]:
+        expected = oracle.slow_gf_class(D, n_max).coeffs
+        assert tuple(partitions._dp_counts(D, n_max)) == expected, n_max
+
+
+def test_class_d_dp_does_not_read_class_a(monkeypatch):
+    # D(n+1) = 2*A(n) is the theorem; the class-D table must count D from its
+    # definition, so a wrong A table leaves it right.
+    original = partitions._dp_counts
+
+    def patched(cls, n_max):
+        values = original(cls, n_max)
+        if cls is A and n_max >= 17:
+            values[17] += 1
+        return values
+
+    monkeypatch.setattr(partitions, "_dp_counts", patched)
+    assert count_table(A, 40)[17] == oracle.brute_count(17, "A") + 1
+    assert count_table(D, 40) == oracle.slow_gf_class(D, 40).coeffs
+
+
 @pytest.mark.parametrize("cls", list(PartitionClass))
 def test_dp_matches_series_at_max_n(cls):
     # The independent check at the CLI's largest --n, where the cubic reference

@@ -1,0 +1,177 @@
+"""Route independence: which kinds of computation each check reaches.
+
+eulerlab verifies A(n) = B(n) = C(n+1) = D(n+1)/2 along routes that must not
+lean on each other: the class generators, the dynamic programs, the series
+builders and the bijective maps, the last three of which may share the
+in-place coefficient kernel.  Each selftest criterion, each count method of
+each class and each identity runs here under sys.setprofile, from empty
+series caches and at small sizes, and the routes of the eulerlab functions it
+enters are compared with a pinned set.  Records, predicates and dispatch
+(count_table, the identity checks, the criteria themselves) belong to no
+route.  Every module-level function of the four library modules is named
+below, so a new function must be given a route before this test passes.
+"""
+
+import inspect
+import sys
+from collections import Counter
+
+import pytest
+
+from eulerlab import acceptance, maps, partitions, series
+from eulerlab.partitions import COUNT_METHODS, PartitionClass
+from eulerlab.series import IDENTITY_NAMES
+
+GENERATORS = "generators"
+DYNAMIC_PROGRAM = "dynamic program"
+SERIES = "series builders"
+MAPS = "maps"
+KERNEL = "kernel"
+
+ROUTES = {
+    GENERATORS: (partitions, ("_gen", "_gen_class_c", "_gen_class_d", "enumerate_class")),
+    DYNAMIC_PROGRAM: (partitions, ("_dp_counts",)),
+    SERIES: (
+        series,
+        (
+            "pochhammer",
+            "_add_into",
+            "_sum_by_ratio",
+            "_cached",
+            "_c_form",
+            "_gf_d",
+            "gf_class",
+            "gf_c_variant",
+            "_inner_m_sum",
+            "_stage_factored",
+            "_stage_double_sum",
+            "_stage_split_sum",
+            "_stage_bracket_reciprocals",
+            "_stage_final",
+            "gf_c_chain_stage",
+            "_euler_lhs",
+            "_euler_rhs",
+        ),
+    ),
+    MAPS: (
+        maps,
+        ("glaisher_to_odd", "glaisher_to_distinct", "_merge_binary")
+        + ("d_reduce", "d_lift", "c_to_b", "b_to_c"),
+    ),
+    KERNEL: (partitions, ("_mul_factor", "_div_factor", "_mul_poch_inf", "_div_poch_inf", "_unit")),
+}
+
+NEUTRAL = {
+    partitions: ("normalize", "parse_partition", "is_in_class", "count_table", "render_class_d"),
+    series: (
+        "_first_failure",
+        "_euler_checks",
+        "euler_expansion_check",
+        "_euler_ab_checks",
+        "_shift_bc_checks",
+        "_chain_c_checks",
+        "_half_d_checks",
+        "_thm_all_checks",
+        "verify_identity",
+    ),
+    acceptance: ("_criterion", "run_all", *acceptance.CRITERIA),
+}
+
+ROUTE_OF = {
+    getattr(module, name).__code__: (route, name)
+    for route, (module, names) in ROUTES.items()
+    for name in names
+}
+
+
+def trace_routes(run, *args) -> tuple[object, set[str], Counter]:
+    """run(*args), the routes it enters, and how often it enters each function.
+
+    A generator function is entered again each time it resumes, so only the
+    counts of plain functions are calls.
+    """
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and (hit := ROUTE_OF.get(frame.f_code)):
+            entered[hit] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run(*args)
+    finally:
+        sys.setprofile(None)
+    calls = Counter({name: n for (_, name), n in entered.items()})
+    return result, {route for route, _ in entered}, calls
+
+
+def test_every_library_function_is_classified():
+    named = {(module, name) for module, names in ROUTES.values() for name in names}
+    named |= {(module, name) for module, names in NEUTRAL.items() for name in names}
+    defined = {
+        (module, name)
+        for module in (partitions, series, maps, acceptance)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+    }
+    assert defined == named
+
+
+# Each criterion at a small size, with the routes it must reach; a criterion
+# or count method without an entry here fails its test.
+CRITERIA = {
+    "golden_table": ((), {GENERATORS}),
+    "theorem_by_enumeration": ((8,), {GENERATORS}),
+    "theorem_by_series": ((20,), {SERIES, KERNEL}),
+    "c_forms_match_b": ((20,), {DYNAMIC_PROGRAM, SERIES, KERNEL}),
+    "chain_stages": ((20,), {SERIES, KERNEL}),
+    "euler_expansion": ((2, 20), {SERIES, KERNEL}),
+    "bijection_suite": ((6,), {GENERATORS, MAPS}),
+    "oracle_equivalence": ((8,), {GENERATORS, DYNAMIC_PROGRAM, SERIES, KERNEL}),
+}
+
+METHOD_ROUTES = {
+    "enumeration": {GENERATORS},
+    "dynamic-program": {DYNAMIC_PROGRAM, KERNEL},
+    "series-coefficient": {SERIES, KERNEL},
+}
+
+
+@pytest.mark.parametrize("name", acceptance.CRITERIA)
+def test_criterion_routes(name):
+    args, expected = CRITERIA[name]
+    result, routes, _ = trace_routes(acceptance.CRITERIA[name], *args)
+    assert result.passed, result.detail
+    assert routes == expected
+
+
+@pytest.mark.parametrize("method", COUNT_METHODS)
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_count_routes(cls, method):
+    counts, routes, entered = trace_routes(partitions.count_table, cls, 12, method)
+    assert counts == partitions.count_table(cls, 12, "enumeration")
+    assert routes == METHOD_ROUTES[method]
+    # One table per count: no class's dynamic program reads another's.
+    assert entered["_dp_counts"] == (method == "dynamic-program")
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_identity_routes(name):
+    report, routes, _ = trace_routes(series.verify_identity, name, 20)
+    assert report.passed
+    assert routes == {SERIES, KERNEL}
+
+
+def test_seeded_route_violation_is_seen(monkeypatch):
+    # theorem_by_enumeration made to read the dynamic program as well
+    original = acceptance.count_table
+
+    def reads_dp(cls, n_max, *args):
+        partitions._dp_counts(cls, n_max)
+        return original(cls, n_max, *args)
+
+    monkeypatch.setattr(acceptance, "count_table", reads_dp)
+    args, expected = CRITERIA["theorem_by_enumeration"]
+    result, routes, _ = trace_routes(acceptance.theorem_by_enumeration, *args)
+    assert result.passed
+    assert routes == {GENERATORS, DYNAMIC_PROGRAM, KERNEL} != expected

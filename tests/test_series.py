@@ -378,7 +378,7 @@ def test_cached_series_match_reference(build_steps):
     assert not build_steps
     for _, arg, slow in BUILDS:
         for order in range(40):
-            assert served[arg, order] == slow(arg, order), (arg, order)
+            assert served[arg, order].coeffs == slow(arg, order).coeffs, (arg, order)
 
 
 def test_higher_order_rebuilds(build_steps):
@@ -390,7 +390,7 @@ def test_higher_order_rebuilds(build_steps):
         build_steps.clear()
         high = builder(arg, 30)
         assert build_steps, arg
-        assert high == slow(arg, 30), arg
+        assert high.coeffs == slow(arg, 30).coeffs, arg
         assert builder(arg, 30) is high and builder(arg, 20) == low, arg
 
 
