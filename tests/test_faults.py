@@ -6,7 +6,8 @@ the exact context string; a side cut short must fail at its first missing
 exponent.  The listing tests drop one partition from one class generator, or
 send one input of one map to a wrong image, and assert the exact detail of
 the listing criterion or of golden_table; bijection_suite must list each
-class once per weight.  The counting tests add one to a dynamic-program
+class once per weight and evaluate each map once per argument and weight.
+The counting tests add one to a dynamic-program
 count, or to one coefficient of a division in the kernel that the dynamic
 program and the series share, and assert the detail of oracle_equivalence.
 So no check passes vacuously.
@@ -330,6 +331,38 @@ def test_suite_lists_each_class_once_per_weight(monkeypatch):
     )
 
 
+# A(n) = B(n) for n = 0..12, and D(n + 1) = 2 A(n) for n >= 1.
+A_TO_12 = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
+
+
+def test_suite_evaluates_each_map_once_per_argument(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(acceptance, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    expected = {
+        "glaisher_to_odd": sum(A_TO_12),
+        "glaisher_to_distinct": sum(A_TO_12),
+        "b_to_c": sum(A_TO_12[1:]),
+        "c_to_b": sum(A_TO_12[1:]),
+        "d_reduce": 2 * sum(A_TO_12[1:]),
+        "d_lift": 2 * sum(A_TO_12[1:]),
+    }
+    for name in expected:
+        monkeypatch.setattr(acceptance, name, counting(name))
+    for _ in range(2):  # no memo outlives a call
+        calls.clear()
+        assert acceptance.bijection_suite(12).passed
+        assert calls == expected
+
+
 def test_golden_table_detail(monkeypatch):
     # The first class-D partition of weight 7 is 7 itself, rendered 0+0+7.
     _drop_one(monkeypatch, D, 7)
@@ -420,3 +453,16 @@ def test_glaisher_inverse_fault_is_reported(monkeypatch, name, at, wrong, detail
     suite = acceptance.bijection_suite(12)
     assert not suite.passed
     assert suite.detail == detail
+
+
+# Two images of weight 3 swapped in both maps at once: every B-side round trip
+# and image class still holds, so only the C loop, walking C(4) = {4, 2+2}
+# and reading the images the B loop already made, can catch it.
+def test_swapped_c_images_are_reported(monkeypatch):
+    _patch_map(monkeypatch, "b_to_c", (P(3),), P(2, 2))
+    _patch_map(monkeypatch, "b_to_c", (P(1, 1, 1),), P(4))
+    _patch_map(monkeypatch, "c_to_b", (P(2, 2),), P(3))
+    _patch_map(monkeypatch, "c_to_b", (P(4),), P(1, 1, 1))
+    suite = acceptance.bijection_suite(12)
+    assert not suite.passed
+    assert suite.detail == "c_to_b(4) largest part 1"
