@@ -9,7 +9,7 @@ twice and everything else is distinct).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -259,8 +259,9 @@ def enumerate_class(
 
 # The in-place coefficient kernel of the dynamic programs here and of the
 # series builders: multiplying or dividing a coefficient list, truncated at
-# its length, by one factor (1 - s*q^e) is an O(N) recurrence.  The sign
-# convention is series.PochSpec's: s = -1 gives the factor (1 + q^e).
+# its length, by one factor (1 - s*q^e) is an O(N) recurrence, and so is
+# adding a shifted list into it.  The sign convention is series.PochSpec's:
+# s = -1 gives the factor (1 + q^e).
 
 
 def _mul_factor(c: list[int], sign: int, e: int) -> None:
@@ -285,6 +286,13 @@ def _div_factor(c: list[int], sign: int, e: int) -> None:
     else:
         for j in range(e, len(c)):
             c[j] -= c[j - e]
+
+
+def _add_into(target: list[int], coeffs: Sequence[int], at: int = 0) -> list[int]:
+    """target += q^at * coeffs in place, truncated at len(target)."""
+    end = min(len(target), at + len(coeffs))
+    target[at:end] = [x + y for x, y in zip(target[at:end], coeffs)]
+    return target
 
 
 def _mul_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
@@ -319,8 +327,7 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
         # may occur once, 2N-1 and 2N become free.  At N=1 the first and third
         # passes cancel, as part 1 was never free.  C(0)=1 is the counting
         # convention for the empty partition.
-        out = [0] * (n_max + 1)
-        out[0] = 1
+        out = _unit(n_max)
         dp = _unit(n_max)
         for half in range(1, n_max // 2 + 1):
             del dp[n_max - 2 * half + 1 :]
@@ -328,7 +335,7 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
             _mul_factor(dp, -1, half)
             _div_factor(dp, 1, 2 * half - 1)
             _div_factor(dp, 1, 2 * half)
-            out[2 * half :] = [x + y for x, y in zip(out[2 * half :], dp)]
+            _add_into(out, dp, 2 * half)
         return out
     if cls is PartitionClass.D:
         # Condition on the doubled smallest part s: the other parts are
@@ -338,9 +345,9 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
         t = [1] + [0] * top + [1] * (n_max - top)
         out = [0] * (n_max + 1)
         for s in range(top, 0, -1):
-            out[2 * s :] = [x + y for x, y in zip(out[2 * s :], t)]
+            _add_into(out, t, 2 * s)
             _mul_factor(t, -1, s)
-        return [x + y for x, y in zip(out, t)]
+        return _add_into(out, t)
     raise TypeError(f"not a partition class: {cls!r}")
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import (
     PartitionClass,
+    _add_into,
     _div_factor,
     _div_poch_inf,
     _Immutable,
@@ -31,8 +32,8 @@ class TruncatedSeries(_Immutable):
 
     Instances are immutable (assigning or deleting an attribute raises
     AttributeError), so one built series can be shared by every caller.
-    Only the benchmark tracer uses +, * and reciprocal, which return new
-    series truncated to the smaller operand order.
+    * and reciprocal serve the benchmark tracer only, and + only the tests;
+    each returns a new series truncated to the smaller operand order.
     """
 
     __slots__ = ("order", "coeffs")
@@ -160,19 +161,13 @@ def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
 # evaluator folds each sum by Horner's rule from the top summand down,
 # carrying each partial sum only to the order it still needs, so a whole
 # build costs O(N^2).  A product common to every summand, such as a first
-# summand T_0, is applied once to the folded sum.  The factor passes are the
-# in-place kernel of partitions, which the dynamic programs share.
+# summand T_0, is applied once to the folded sum.  The factor passes and the
+# add are the in-place kernel of partitions, which the dynamic programs share.
 #
 # A term ratio R_n = T_n / T_(n-1), apart from the q^gap of the sum, is written
 # as data: a tuple of factors (sign, a, b, power), each meaning
 # (1 - sign*q^(a*n + b))^power with power +1 or -1.
 Ratio = tuple[tuple[int, int, int, int], ...]
-
-
-def _add_into(target: list[int], coeffs: Sequence[int]) -> None:
-    """target += coeffs, truncated at len(target)."""
-    end = len(coeffs)
-    target[:end] = [x + y for x, y in zip(target[:end], coeffs)]
 
 
 def _sum_by_ratio(
@@ -304,11 +299,11 @@ def _inner_m_sum(order: int, gap: int) -> list[int]:
 
 
 def _stage_factored(order: int) -> list[int]:
-    # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf ),
-    # T_0 = 1/(q^2;q^2)_inf; T_n / T_(n-1) = q^2 (1-q^(2n)) / ((1-q^(2n-1))(1-q^(2n))),
-    # the (1-q^(2n)) being the factor that (q^(2n);q^2)_inf loses.  T_0 is
-    # divided out and (q^2;q^2)_inf multiplied back, as the stage displays it.
-    acc = _sum_by_ratio(order, 2, _C_FORM_RATIOS["even_poch_ratio"])
+    # 2 * (q^2;q^2)_inf * sum_n q^(2n) / ( (q;q)_{2n} (q^(2n+2);q^2)_inf ): as
+    # (q^(2n+2);q^2)_inf = (q^2;q^2)_inf / (q^2;q^2)_n, the sum is the cached
+    # form even_poch_ratio divided by (q^2;q^2)_inf.  The divide and the
+    # multiply by (q^2;q^2)_inf are both kept, as the stage displays them.
+    acc = list(_c_form("even_poch_ratio", order).coeffs)
     return [2 * x for x in _mul_poch_inf(_div_poch_inf(acc, +1, 2, 2), +1, 2, 2)]
 
 
@@ -345,15 +340,12 @@ def _stage_bracket_reciprocals(order: int) -> list[int]:
         _div_poch_inf(_sum_by_ratio(order, 2, ((sign, 1, 0, 1), (1, 2, 0, -1))), sign, 1, 1)
         for sign in (+1, -1)
     )
-    _add_into(plus, minus)
-    return _mul_poch_inf(plus, +1, 2, 2)
+    return _mul_poch_inf(_add_into(plus, minus), +1, 2, 2)
 
 
 def _stage_final(order: int) -> list[int]:
     # sum_m q^(2m) (-q^(m+1);q)_inf + (1 - q), i.e. gf_D + 1 - q
-    out = list(gf_class(PartitionClass.D, order).coeffs)
-    _add_into(out, (1, -1))
-    return out
+    return _add_into(list(gf_class(PartitionClass.D, order).coeffs), (1, -1))
 
 
 _CHAIN_STAGE_BUILDERS = {

@@ -18,8 +18,8 @@ program, against which the O(n^2) table update is checked count by count.
 
 The ring part is a copy of the generic TruncatedSeries ring of
 eulerlab.series (+, * and reciprocal) and of its pochhammer, and the kernel
-part a copy of the in-place factor passes of eulerlab.partitions, written as
-the loops their docstrings state.
+part a copy of the in-place factor passes and the shifted add of
+eulerlab.partitions, written as the loops their docstrings state.
 
 The slow-series part keeps the original O(N^3) series builders, which rebuild
 every summand from scratch as a product, a reciprocal or a series product in
@@ -318,7 +318,8 @@ def _poch(sign: int, offset: int, step: int, terms: int | None, order: int) -> T
 
 
 # ----------------------------------------------------------------- kernel
-# A copy of the in-place factor passes of eulerlab.partitions, as plain loops.
+# A copy of the in-place factor passes and the shifted add of
+# eulerlab.partitions, as plain loops.
 
 
 def mul_factor(c: list[int], sign: int, e: int) -> None:
@@ -331,6 +332,12 @@ def div_factor(c: list[int], sign: int, e: int) -> None:
     """c /= (1 - sign*q^e) in place, truncated at len(c); e >= 1."""
     for j in range(e, len(c)):
         c[j] += sign * c[j - e]
+
+
+def add_into(target: list[int], coeffs: Sequence[int], at: int) -> None:
+    """target += q^at * coeffs in place, truncated at len(target); at >= 0."""
+    for j in range(at, min(len(target), at + len(coeffs))):
+        target[j] += coeffs[j - at]
 
 
 # ------------------------------------------------------------ slow series
@@ -357,18 +364,6 @@ def _served_as_prefixes(build: Callable[..., _Series]) -> Callable[..., _Series]
     return serve
 
 
-
-
-def _add_shifted(target: list[int], coeffs: Sequence[int], shift: int) -> None:
-    limit = len(target)
-    for j, c in enumerate(coeffs):
-        k = j + shift
-        if k >= limit:
-            break
-        if c:
-            target[k] += c
-
-
 @_served_as_prefixes
 def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
     if cls is PartitionClass.A:
@@ -382,7 +377,7 @@ def slow_gf_class(cls: PartitionClass, order: int) -> TruncatedSeries:
         m = 0
         while 2 * m <= order:
             tail = _poch(-1, m + 1, 1, None, order - 2 * m)
-            _add_shifted(out, tail.coeffs, 2 * m)
+            add_into(out, tail.coeffs, 2 * m)
             m += 1
         return TruncatedSeries(out, order)
     raise TypeError(f"not a partition class: {cls!r}")
@@ -405,7 +400,7 @@ def slow_c_variant(form: str, order: int) -> TruncatedSeries:
             term = num * _poch(+1, 1, 1, 2 * n, m).reciprocal()
         else:  # odd_poch_ratio
             term = _poch(+1, 1, 2, n, m).reciprocal()
-        _add_shifted(out, term.coeffs, 2 * n)
+        add_into(out, term.coeffs, 2 * n)
         n += 1
     return TruncatedSeries(out, order)
 
@@ -424,7 +419,7 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
             term = _poch(+1, 1, 1, 2 * n, m).reciprocal() * _poch(
                 +1, 2 * n + 2, 2, None, m
             ).reciprocal()
-            _add_shifted(acc, term.coeffs, 2 * n)
+            add_into(acc, term.coeffs, 2 * n)
             n += 1
         return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order) * 2
 
@@ -439,10 +434,10 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
             m = 0
             while m * (2 * n + 2) <= mo:
                 term = _poch(+1, 2, 2, m, mo - m * (2 * n + 2)).reciprocal()
-                _add_shifted(inner, term.coeffs, m * (2 * n + 2))
+                add_into(inner, term.coeffs, m * (2 * n + 2))
                 m += 1
             grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, 2 * n, mo).reciprocal()
-            _add_shifted(acc, grouped.coeffs, 2 * n)
+            add_into(acc, grouped.coeffs, 2 * n)
             n += 1
         return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order) * 2
 
@@ -459,10 +454,10 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
                 m = 0
                 while m * (n + 2) <= mo:
                     term = _poch(+1, 2, 2, m, mo - m * (n + 2)).reciprocal()
-                    _add_shifted(inner, term.coeffs, m * (n + 2))
+                    add_into(inner, term.coeffs, m * (n + 2))
                     m += 1
                 grouped = TruncatedSeries(inner, mo) * _poch(+1, 1, 1, n, mo).reciprocal()
-                _add_shifted(acc, [weight * c for c in grouped.coeffs], n)
+                add_into(acc, [weight * c for c in grouped.coeffs], n)
             n += 1
         return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
 
@@ -478,7 +473,7 @@ def slow_chain_stage(stage: str, order: int) -> TruncatedSeries:
                 + _poch(-1, m + 1, 1, None, mo).reciprocal()
             )
             term = bracket * _poch(+1, 2, 2, m, mo).reciprocal()
-            _add_shifted(acc, term.coeffs, 2 * m)
+            add_into(acc, term.coeffs, 2 * m)
             m += 1
         return TruncatedSeries(acc, order) * _poch(+1, 2, 2, None, order)
 
@@ -505,9 +500,9 @@ def slow_euler_rhs(c: int, sign: int, order: int) -> list[int]:
     while c * m <= order:
         inv = _poch(+1, 1, 1, m, order - c * m).reciprocal()
         if sign == -1 and m % 2 == 1:
-            _add_shifted(rhs, [-x for x in inv.coeffs], c * m)
+            add_into(rhs, [-x for x in inv.coeffs], c * m)
         else:
-            _add_shifted(rhs, inv.coeffs, c * m)
+            add_into(rhs, inv.coeffs, c * m)
         m += 1
     return rhs
 
@@ -546,6 +541,6 @@ def slow_sum_by_ratio(
         summand = t
         if term is not None:
             summand = (TruncatedSeries(t, mo) * TruncatedSeries(term(n, mo), mo)).coeffs
-        _add_shifted(out, [scale**n * x for x in summand], gap * n)
+        add_into(out, [scale**n * x for x in summand], gap * n)
         n += 1
     return out

@@ -9,7 +9,8 @@ the listing criterion or of golden_table; bijection_suite must list each
 class once per weight and evaluate each map once per argument and weight.
 The counting tests add one to a dynamic-program
 count, or to one coefficient of a division in the kernel that the dynamic
-program and the series share, and assert the detail of oracle_equivalence.
+program and the series share, or drop one coefficient of the kernel's shifted
+add, and assert the detail of oracle_equivalence.
 So no check passes vacuously.
 """
 
@@ -20,7 +21,7 @@ import pytest
 from eulerlab import acceptance, partitions, series
 from eulerlab.maps import ReductionCase, ReductionTag
 from eulerlab.partitions import PartitionClass, normalize
-from eulerlab.series import C_FORMS, CHAIN_STAGES, TruncatedSeries
+from eulerlab.series import C_FORMS, CHAIN_STAGES, IDENTITY_NAMES, TruncatedSeries
 
 A, B, C, D = PartitionClass
 ORDER = 30
@@ -213,6 +214,29 @@ def test_shared_kernel_fault_is_caught_by_enumeration(monkeypatch):
     assert result.detail == (
         "class B, n=17: {'enumeration': 38, 'dynamic-program': 39, 'series-coefficient': 39}"
     )
+
+
+def test_shared_add_fault_is_caught_by_the_other_routes(monkeypatch):
+    # Only the dynamic programs add at an offset, so an add that drops the
+    # last coefficient of its slice there moves the dynamic-program column
+    # alone, and every series identity still passes.
+    original = partitions._add_into
+
+    def patched(target, coeffs, at=0):
+        if at:
+            room = min(len(target) - at, len(coeffs))
+            coeffs = coeffs[: max(room - 1, 0)]
+        return original(target, coeffs, at)
+
+    for module in (partitions, series):
+        monkeypatch.setattr(module, "_add_into", patched)
+    result = acceptance.oracle_equivalence()
+    assert not result.passed
+    assert result.detail == (
+        "class C, n=30: {'enumeration': 256, 'dynamic-program': 0, 'series-coefficient': 256}"
+    )
+    for name in IDENTITY_NAMES:
+        assert series.verify_identity(name, 60).passed, name
 
 
 def test_euler_expansion_criterion_detail(monkeypatch):

@@ -9,16 +9,24 @@ front-to-back sum on random ratios, and the builders with the slow ones on
 every coefficient from order 0; the package route must not fall back on the
 generic TruncatedSeries ring at all.  The in-place primitives, which live in
 partitions and serve its dynamic programs too, are checked against the
-oracle's copy of the ring and against the oracle's copy of the kernel.
+oracle's copy of the ring and against the oracle's copy of the kernel: the
+factor passes against ring products and reciprocals, the shifted add against
+the ring's target + q^at * coeffs.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracle
 from eulerlab import series
-from eulerlab.partitions import PartitionClass, _div_factor, _mul_factor, count_table
+from eulerlab.partitions import (
+    PartitionClass,
+    _add_into,
+    _div_factor,
+    _mul_factor,
+    count_table,
+)
 from eulerlab.series import (
     C_FORMS,
     CHAIN_STAGES,
@@ -56,6 +64,7 @@ def _factor(order: int, sign: int, e: int) -> oracle.TruncatedSeries:
 # The package's kernel and the oracle's copy, each against the oracle's ring.
 MUL_FACTORS = (_mul_factor, oracle.mul_factor)
 DIV_FACTORS = (_div_factor, oracle.div_factor)
+ADDS = (_add_into, oracle.add_into)
 
 
 @given(coeff_lists, exponents, signs)
@@ -76,6 +85,23 @@ def test_div_factor_matches_ring_reciprocal(coeffs, e, sign):
         assert tuple(c) == expected.coeffs, div
 
 
+# at = 0; at past the end; coeffs running past the end; coeffs ending short.
+@example([1, 2, 3], [4, 5], 0)
+@example([1, 2, 3], [4], 3)
+@example([1, 2, 3], [4, 5], 7)
+@example([1, 2, 3], [4, 5, 6], 2)
+@example([1, 2, 3, 4], [5], 1)
+@given(coeff_lists, coeff_lists, st.integers(0, 18))
+def test_add_into_matches_ring_sum(target, coeffs, at):
+    order = len(target) - 1
+    shifted = oracle.TruncatedSeries([0] * at + coeffs, order)
+    expected = oracle.TruncatedSeries(target) + shifted
+    for add in ADDS:
+        c = list(target)
+        add(c, coeffs, at)
+        assert tuple(c) == expected.coeffs, add
+
+
 long_lists = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=300)
 
 
@@ -87,6 +113,15 @@ def test_kernel_matches_oracle_copy(coeffs, e, sign):
         ours(c, sign, e)
         theirs(expected, sign, e)
         assert c == expected, ours
+
+
+@given(long_lists, long_lists, st.integers(0, 320))
+def test_add_into_matches_oracle_copy(target, coeffs, at):
+    expected = list(target)
+    oracle.add_into(expected, coeffs, at)
+    c = list(target)
+    assert _add_into(c, coeffs, at) is c
+    assert c == expected
 
 
 @given(coeff_lists, exponents, signs)

@@ -35,7 +35,6 @@ ROUTES = {
         series,
         (
             "pochhammer",
-            "_add_into",
             "_sum_by_ratio",
             "_cached",
             "_c_form",
@@ -58,7 +57,10 @@ ROUTES = {
         ("glaisher_to_odd", "glaisher_to_distinct", "_merge_binary")
         + ("d_reduce", "d_lift", "c_to_b", "b_to_c"),
     ),
-    KERNEL: (partitions, ("_mul_factor", "_div_factor", "_mul_poch_inf", "_div_poch_inf", "_unit")),
+    KERNEL: (
+        partitions,
+        ("_mul_factor", "_div_factor", "_add_into", "_mul_poch_inf", "_div_poch_inf", "_unit"),
+    ),
 }
 
 NEUTRAL = {

@@ -530,7 +530,7 @@ def test_cache_stays_bounded(build_steps):
 SLICE_LENGTHS = {
     "_mul_factor": lambda c, sign, e: max(len(c) - e, 0),
     "_div_factor": lambda c, sign, e: max(len(c) - e, 0),
-    "_add_into": lambda target, coeffs: min(len(target), len(coeffs)),
+    "_add_into": lambda target, coeffs, at=0: max(min(len(target) - at, len(coeffs)), 0),
 }
 
 
@@ -538,8 +538,9 @@ SLICE_LENGTHS = {
 def coeff_updates(monkeypatch):
     """Counter, by primitive, of the coefficients updated while the test runs.
 
-    Every module that binds a primitive gets the counting wrapper, so the
-    dynamic programs and the series builders are both counted.
+    Every module that binds a primitive gets the counting wrapper.  The
+    dynamic programs and the series builders do all their coefficient
+    arithmetic in these primitives, so both are counted in full.
     """
     updates = Counter()
 
@@ -551,7 +552,7 @@ def coeff_updates(monkeypatch):
         return wrapper
 
     for name in SLICE_LENGTHS:
-        primitive = getattr(series, name)
+        primitive = getattr(partitions, name)
         for module in (partitions, series, oracle):
             if getattr(module, name, None) is primitive:
                 monkeypatch.setattr(module, name, counted(name, primitive))
@@ -569,7 +570,7 @@ WITH_LOG = (4.36, 4.44)
 COEFF_UPDATES = {
     "euler_AB": (47_125, 751_000, QUADRATIC),
     "shift_BC": (52_062, 833_250, QUADRATIC),
-    "chain_C": (455_323, 7_920_955, (QUADRATIC[0], WITH_LOG[1])),
+    "chain_C": (432_011, 7_546_455, (QUADRATIC[0], WITH_LOG[1])),
     "half_D": (78_064, 1_249_752, QUADRATIC),
     "thm_all": (125_187, 2_000_750, QUADRATIC),
     "factored": (54_562, 874_500, QUADRATIC),
@@ -592,3 +593,29 @@ def test_coefficient_updates_are_pinned(coeff_updates, name):
     at_250, at_1000, (low, high) = COEFF_UPDATES[name]
     assert low <= (counts[1] / counts[0]) ** 0.5 <= high
     assert counts == [at_250, at_1000]
+
+
+# Coefficient updates of count_table(cls, n) by dynamic program at n = 250 and
+# n = 1000, with their own bounds on growth per doubling: every table is
+# O(n^2), but its lower-order terms keep B and D just below QUADRATIC's floor
+# at these sizes.  A class-C table rebuilt for every largest part, O(n^3),
+# would grow about 8x.
+DP_QUADRATIC = (3.98, 4.01)
+DP_COEFF_UPDATES = {
+    A: (31_375, 500_500),
+    B: (15_750, 250_500),
+    C: (51_937, 832_750),
+    D: (39_376, 626_251),
+}
+
+
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_dynamic_program_updates_are_pinned(coeff_updates, cls):
+    counts = []
+    for n in (250, 1000):
+        coeff_updates.clear()
+        count_table(cls, n)
+        counts.append(coeff_updates.total())
+    low, high = DP_QUADRATIC
+    assert low <= (counts[1] / counts[0]) ** 0.5 <= high
+    assert counts == list(DP_COEFF_UPDATES[cls])
