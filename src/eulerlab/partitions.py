@@ -351,6 +351,12 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
+# Per class, the longest dynamic-program table built so far; count n does not
+# depend on n_max, so a shorter table is its prefix.  _dp_counts stays the
+# uncached builder, so a rebound one is seen whenever the table is cold.
+_dp_held: dict[PartitionClass, tuple[int, ...]] = {}
+
+
 def count_table(
     cls: PartitionClass,
     n_max: int,
@@ -360,12 +366,18 @@ def count_table(
     """Counts of the class for n = 0..n_max, in one pass.
 
     All three methods agree everywhere, including the convention values
-    C(0)=1, C(1)=0, D(0)=1, D(1)=1.
+    C(0)=1, C(1)=0, D(0)=1, D(1)=1.  The dynamic-program tables, held here,
+    and the series, held by gf_class, are kept for the life of the process,
+    one per class and method: a call builds only above the highest n_max
+    held, and a lower n_max is served as a prefix.  count_table.cache_clear()
+    empties the dynamic-program tables.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if method == METHOD_DYNAMIC_PROGRAM:
-        values = _dp_counts(cls, n_max)
+        if (held := _dp_held.get(cls)) is None or len(held) <= n_max:
+            held = _dp_held[cls] = tuple(_dp_counts(cls, n_max))
+        values = held[: n_max + 1]
     elif method == METHOD_ENUMERATION:
         if n_max > cutoff:  # refuse before listing the weights up to the cutoff
             raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
@@ -379,6 +391,9 @@ def count_table(
     else:
         raise ValueError(f"unknown counting method: {method!r}")
     return tuple(values)
+
+
+count_table.cache_clear = _dp_held.clear
 
 
 def render_class_d(p: Partition) -> str:

@@ -359,6 +359,45 @@ def test_dp_matches_series_at_max_n(cls):
     assert tuple(partitions._dp_counts(cls, 1000)) == expected.coeffs
 
 
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_dp_table_is_held_and_served_as_prefix(monkeypatch, cls):
+    original = partitions._dp_counts
+    cold = {n_max: tuple(original(cls, n_max)) for n_max in range(122)}
+    built = []
+
+    def counted(c, n_max):
+        built.append((c, n_max))
+        return original(c, n_max)
+
+    monkeypatch.setattr(partitions, "_dp_counts", counted)
+    assert count_table(cls, 120) == cold[120]
+    assert built == [(cls, 120)]
+    for n_max in range(121):
+        assert count_table(cls, n_max) == cold[n_max], n_max
+    assert built == [(cls, 120)]
+    assert count_table(cls, 121) == cold[121]
+    assert built == [(cls, 120), (cls, 121)]
+    assert partitions._dp_held == {cls: cold[121]}
+    # the conventions C(0)=1, D(0)=D(1)=1 and the bound check on the warm table
+    assert count_table(cls, 0) == (1,)
+    assert count_table(cls, 1) == ((1, 0) if cls is C else (1, 1))
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        count_table(cls, -1)
+    assert built == [(cls, 120), (cls, 121)]
+
+
+def test_dp_tables_are_one_per_class():
+    for n_max in (5, 40, 12, 60, 0):
+        for cls in PartitionClass:
+            count_table(cls, n_max)
+    assert {cls: len(t) for cls, t in partitions._dp_held.items()} == dict.fromkeys(
+        PartitionClass, 61
+    )
+    assert all(type(t) is tuple for t in partitions._dp_held.values())
+    count_table.cache_clear()
+    assert partitions._dp_held == {}
+
+
 def test_count_d_range_from_reduction_identity():
     # Independent oracle: count via enumeration, then confirm the doubling
     # relation against the enumerated distinct-part counts.

@@ -157,6 +157,48 @@ def test_count_routes(cls, method):
     assert entered["_dp_counts"] == (method == "dynamic-program")
 
 
+WARM_ORDERS = [
+    ("series-coefficient", "dynamic-program"),
+    ("dynamic-program", "series-coefficient"),
+]
+
+
+def warm_count(cls, first, then):
+    """Counts and routes of count_table(cls, 12, then) after a count to 20 by first."""
+    partitions.count_table(cls, 20, first)
+    return trace_routes(partitions.count_table, cls, 12, then)
+
+
+@pytest.mark.parametrize("first,then", WARM_ORDERS)
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_count_routes_on_warm_caches(cls, first, then):
+    # Each method holds its own tables: a table held by one method must not
+    # serve the other, which must still build along its own route.
+    counts, routes, entered = warm_count(cls, first, then)
+    assert counts == partitions.count_table(cls, 12, "enumeration")
+    assert routes == METHOD_ROUTES[then]
+    assert entered["_dp_counts"] == (then == "dynamic-program")
+
+
+def test_seeded_shared_count_table_is_seen(monkeypatch):
+    # A table held per class alone, whichever method built it, serves one
+    # method's table to the other.
+    original = partitions.count_table
+    held = {}
+
+    def shared(cls, n_max, method="dynamic-program", *args):
+        if cls not in held or len(held[cls]) <= n_max:
+            held[cls] = original(cls, n_max, method, *args)
+        return held[cls][: n_max + 1]
+
+    monkeypatch.setattr(partitions, "count_table", shared)
+    for first, then in WARM_ORDERS:
+        counts, routes, _ = warm_count(PartitionClass.C, first, then)
+        assert counts == original(PartitionClass.C, 12, "enumeration")
+        assert routes == set() != METHOD_ROUTES[then]
+        held.clear()
+
+
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
 def test_identity_routes(name):
     report, routes, _ = trace_routes(series.verify_identity, name, 20)

@@ -619,3 +619,14 @@ def test_dynamic_program_updates_are_pinned(coeff_updates, cls):
     low, high = DP_QUADRATIC
     assert low <= (counts[1] / counts[0]) ** 0.5 <= high
     assert counts == list(DP_COEFF_UPDATES[cls])
+
+
+@pytest.mark.parametrize("cls", list(PartitionClass))
+def test_held_dynamic_program_table_makes_no_updates(coeff_updates, cls):
+    # The held table serves its own n_max and every lower one without a build.
+    count_table(cls, 1000)
+    assert coeff_updates.total() == DP_COEFF_UPDATES[cls][1]
+    coeff_updates.clear()
+    for n in (1000, 999, 250, 0):
+        count_table(cls, n)
+    assert coeff_updates.total() == 0
