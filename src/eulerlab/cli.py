@@ -30,13 +30,13 @@ from .partitions import (
 DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
 # split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
-# fresh interpreter: verify --identity chain_C --order 2000 about 2 s; a count
-# at --n 1000 by dynamic program or series coefficient at most 0.15 s, 0.05 to
-# 0.09 s of it start-up (class D by dynamic program 0.07-0.14 s, median 0.08 s
-# of 7); enumerate --class D --n 100 --cutoff 100, 818,348
-# partitions, 10-11 s and 153 MB, and the same count by enumeration 3.3-3.8 s
-# and 15 MB.  Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120
-# would cost about 5x.
+# fresh interpreter, median of 5 (range): verify --identity chain_C --order
+# 2000 2.6 s (2.3-2.6 s); a count at --n 1000 by dynamic program or series
+# coefficient 0.11-0.14 s, at most 0.17 s, of which start-up (a count at --n 1)
+# is 0.07 s; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
+# 13.2 s (11.9-13.5 s) and 153 MB, and the same count by enumeration 3.8 s
+# (3.6-4.2 s) and 15 MB.  Doubling --order or --n costs about 4x (O(N^2));
+# --cutoff 120 would cost about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000
 MAX_CUTOFF = 100

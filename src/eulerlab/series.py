@@ -32,8 +32,8 @@ class TruncatedSeries(_Immutable):
 
     Instances are immutable (assigning or deleting an attribute raises
     AttributeError), so one built series can be shared by every caller.
-    * and reciprocal serve the benchmark tracer only, and + only the tests;
-    each returns a new series truncated to the smaller operand order.
+    * (built on the kernel's _add_into) and reciprocal serve the benchmark
+    tracer only; each returns a new series truncated to the smaller order.
     """
 
     __slots__ = ("order", "coeffs")
@@ -63,28 +63,16 @@ class TruncatedSeries(_Immutable):
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncatedSeries([other * c for c in self.coeffs], self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
         out = [0] * (order + 1)
-        for i in range(order + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        for i, ai in enumerate(self.coeffs[: order + 1]):
+            if ai:
+                _add_into(out, [ai * b for b in other.coeffs[: order + 1 - i]], i)
         return TruncatedSeries(out, order)
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -139,19 +127,9 @@ class PochSpec(_Immutable):
 
 def pochhammer(spec: PochSpec, order: int) -> TruncatedSeries:
     """Evaluate the (possibly infinite) product of a PochSpec modulo q^(order+1)."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    sign = spec.sign
-    i = 0
-    while spec.terms is None or i < spec.terms:
-        e = spec.offset + spec.step * i
-        if e > order:
-            break
-        for j in range(order, e - 1, -1):
-            c = coeffs[j - e]
-            if c:
-                coeffs[j] -= sign * c
-        i += 1
+    coeffs = _unit(order)
+    for e in range(spec.offset, order + 1, spec.step)[: spec.terms]:
+        _mul_factor(coeffs, spec.sign, e)
     return TruncatedSeries(coeffs, order)
 
 
@@ -392,6 +370,8 @@ Check = tuple[str, int, Sequence[int], Sequence[int]]
 
 def _first_failure(name: str, order: int, checks: Iterable[Check]) -> VerificationReport:
     """The first mismatch of the first failing check, or a pass."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
     t0 = perf_counter()
     for context, first, lhs, rhs in checks:
         # a side that runs short fails at its first missing exponent

@@ -16,10 +16,12 @@ order, and enumerate_class these tuples sorted lex decreasing.
 The slow-counting part keeps the package's original O(n^3) class-C dynamic
 program, against which the O(n^2) table update is checked count by count.
 
-The ring part is a copy of the generic TruncatedSeries ring of
-eulerlab.series (+, * and reciprocal) and of its pochhammer, and the kernel
-part a copy of the in-place factor passes and the shifted add of
-eulerlab.partitions, written as the loops their docstrings state.
+The ring part is the reference generic TruncatedSeries ring (+, * and
+reciprocal) and Pochhammer product, written as plain loops; what is left of
+the ring in eulerlab.series runs on the package kernel and is checked
+against it.  The kernel part is a copy of the in-place factor passes and the
+shifted add of eulerlab.partitions, written as the loops their docstrings
+state.
 
 The slow-series part keeps the original O(N^3) series builders, which rebuild
 every summand from scratch as a product, a reciprocal or a series product in
@@ -243,9 +245,9 @@ def slow_dp_counts_c(n_max: int) -> list[int]:
 
 
 # ------------------------------------------------------------------- ring
-# A copy of the generic ring of eulerlab.series: exact integer series known
-# for exponents 0..order, with +, * and reciprocal truncated to the smaller
-# order, and the product of factors (1 - sign*q^(offset + step*i)).
+# The reference generic ring: exact integer series known for exponents
+# 0..order, with +, * and reciprocal truncated to the smaller order, and the
+# product of factors (1 - sign*q^(offset + step*i)).
 
 
 class TruncatedSeries:

@@ -5,15 +5,19 @@ OutputCheck.install) and stops when a name is bound nowhere.  One small
 traced pass in a subprocess makes such a rename fail here rather than in a
 benchmark run.  The pass checks its inner results (listings, series, map
 images) against perfbench/reference.json, so a changed inner result fails
-here too; a seeded fault shows that this check is not vacuous.  The passes
-read the tree and write nothing.
+here too; a seeded fault shows that this check is not vacuous.  One
+series_verify pass and one cli_mix pass, as the benchmark sends them, must
+also give every output digest recorded in the reference.  The passes read
+the tree and write nothing.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,8 +40,7 @@ def _reference_outputs() -> dict:
         return json.load(fh)["outputs"]
 
 
-def _run_pass(trace: bool, fault=None) -> dict:
-    spec = {"requests": REQUESTS, "trace": trace, "fault": fault, "outputs": _reference_outputs()}
+def _worker(spec: dict) -> dict:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py")],
         input=json.dumps(spec),
@@ -49,6 +52,38 @@ def _run_pass(trace: bool, fault=None) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _run_pass(trace: bool, fault=None) -> dict:
+    spec = {"requests": REQUESTS, "trace": trace, "fault": fault, "outputs": _reference_outputs()}
+    return _worker(spec)
+
+
+def _import_workloads():
+    """perfbench/workloads.py, imported without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
+    return module
+
+
+def _replay_benchmark_passes(names: tuple[str, ...], fault=None) -> tuple[list, int]:
+    """(requests whose digest differs from the reference, inner-result mismatches)
+    of the first pass of each named workload at seed 4, in one worker."""
+    workloads = _import_workloads()
+    reference = workloads.load_reference()
+    requests = [
+        request for name in names for request in workloads.pass_requests(name, 4, 0, reference)
+    ]
+    spec = {"requests": requests, "trace": False, "fault": fault, "outputs": reference["outputs"]}
+    result = _worker(spec)
+    wrong = [
+        request
+        for request, got in zip(requests, result["digests"])
+        if got != reference["digests"][workloads.request_key(request)]
+    ]
+    return wrong, sum(result["mismatches"])
 
 
 def test_worker_runs_a_traced_pass():
@@ -63,3 +98,15 @@ def test_worker_reports_a_wrong_inner_result():
     # criteria check still holds, so only the inner-result check sees it.
     result = _run_pass(trace=False, fault="enumerate_order")
     assert any(result["mismatches"]), result["mismatches"]
+
+
+def test_benchmark_passes_give_the_reference_bytes():
+    assert _replay_benchmark_passes(("series_verify", "cli_mix")) == ([], 0)
+
+
+def test_byte_check_sees_a_wrong_gf_c_coefficient():
+    # gf(C) one too large at its top exponent: verify and stage requests
+    # change their output, and the recorded series differ.  The series pass
+    # alone shows it; the cli_mix pass would add 0.8 s.
+    wrong, inner = _replay_benchmark_passes(("series_verify",), fault="gf_class")
+    assert wrong and inner

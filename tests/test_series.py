@@ -35,12 +35,6 @@ def S(*coeffs: int) -> TruncatedSeries:
 # ------------------------------------------------------------- arithmetic
 
 
-def test_add_examples():
-    assert S(1, 1) + S(1, -1) == S(2, 0)
-    assert TruncatedSeries([0], 3) + S(4, 0, 0, 1) == S(4, 0, 0, 1)
-    assert S(1, 2, 0) + S(0, 3, 1) == S(1, 5, 1)
-
-
 def test_mul_examples():
     assert S(1, 1, 0) * S(1, -1, 0) == S(1, 0, -1)
     assert S(3, 1, 4) * TruncatedSeries([1], 2) == S(3, 1, 4)
@@ -48,7 +42,6 @@ def test_mul_examples():
 
 
 def test_mixed_orders_truncate_to_smaller():
-    assert (S(1, 2, 3) + S(1, 1)).order == 1
     assert (S(1, 2, 3) * S(0, 1)) == S(0, 1)
 
 
@@ -77,15 +70,26 @@ small_ints = st.integers(-9, 9)
 series_strategy = st.lists(small_ints, min_size=1, max_size=10).map(TruncatedSeries)
 
 
+def _plus(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries([x + y for x, y in zip(s.coeffs, t.coeffs)])
+
+
 @given(series_strategy, series_strategy, series_strategy)
 def test_ring_laws(a, b, c):
     order = min(a.order, b.order, c.order)
     a, b, c = (TruncatedSeries(s.coeffs, order) for s in (a, b, c))
-    assert a + b == b + a
     assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a * _plus(b, c) == _plus(a * b, a * c)
+
+
+@given(series_strategy, st.one_of(series_strategy, small_ints))
+def test_mul_matches_oracle_ring(a, b):
+    # Mixed orders and int factors: the oracle's ring multiplies by plain loops.
+    other = b if isinstance(b, int) else oracle.TruncatedSeries(b.coeffs)
+    expected = oracle.TruncatedSeries(a.coeffs) * other
+    product = a * b
+    assert (product.order, product.coeffs) == (expected.order, expected.coeffs)
 
 
 @given(st.sampled_from([1, -1]), st.lists(small_ints, min_size=0, max_size=10))
@@ -131,6 +135,52 @@ def test_pochhammer_finite_matches_manual_product():
     # (q;q)_3 = (1-q)(1-q^2)(1-q^3)
     manual = S(1, -1, 0, 0, 0, 0) * S(1, 0, -1, 0, 0, 0) * S(1, 0, 0, -1, 0, 0)
     assert pochhammer(PochSpec(1, 1, 1, 3), 5) == manual
+
+
+# Both signs, offsets 1-4, steps 1-3, and the first 0-5 factors or all of them.
+POCH_SPECS = [
+    PochSpec(sign, offset, step, terms)
+    for sign in (1, -1)
+    for offset in range(1, 5)
+    for step in range(1, 4)
+    for terms in (None, *range(6))
+]
+
+
+def _pochhammer_mismatches() -> set[tuple[PochSpec, int]]:
+    """The (spec, order), orders 0..30, where pochhammer differs from the oracle's."""
+    return {
+        (spec, order)
+        for spec in POCH_SPECS
+        for order in range(31)
+        if pochhammer(spec, order).coeffs
+        != oracle._poch(spec.sign, spec.offset, spec.step, spec.terms, order).coeffs
+    }
+
+
+def test_pochhammer_matches_oracle():
+    assert _pochhammer_mismatches() == set()
+
+
+def test_pochhammer_check_sees_a_sign_flip_at_one_exponent(monkeypatch):
+    # (1 + s*q^3) in place of (1 - s*q^3): exactly the products with that
+    # factor differ, from order 3 up.
+    def flipped(c, sign, e):
+        partitions._mul_factor(c, -sign if e == 3 else sign, e)
+
+    monkeypatch.setattr(series, "_mul_factor", flipped)
+    expected = {
+        (spec, order)
+        for spec in POCH_SPECS
+        for order in range(3, 31)
+        if 3 in range(spec.offset, order + 1, spec.step)[: spec.terms]
+    }
+    assert expected and _pochhammer_mismatches() == expected
+
+
+def test_pochhammer_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        pochhammer(PochSpec(1, 1), -1)
 
 
 def test_pochhammer_validation():
@@ -236,8 +286,8 @@ def test_chain_final_is_d_plus_one_minus_q():
 
 
 def test_chain_double_sum_matches_per_pair_accumulation():
-    # Same double sum, accumulated pair by pair in the opposite grouping;
-    # checks the summation order does not matter.
+    # Same double sum, accumulated pair by pair in the opposite grouping in
+    # the oracle's ring; checks the summation order does not matter.
     order = 24
     total = [0] * (order + 1)
     m = 0
@@ -246,15 +296,15 @@ def test_chain_double_sum_matches_per_pair_accumulation():
         while 2 * n + m * (2 * n + 2) <= order:
             shift = 2 * n + m * (2 * n + 2)
             term = (
-                pochhammer(PochSpec(1, 1, 1, 2 * n), order - shift).reciprocal()
-                * pochhammer(PochSpec(1, 2, 2, m), order - shift).reciprocal()
+                oracle._poch(1, 1, 1, 2 * n, order - shift).reciprocal()
+                * oracle._poch(1, 2, 2, m, order - shift).reciprocal()
             )
             for j, c in enumerate(term.coeffs):
                 total[j + shift] += c
             n += 1
         m += 1
-    direct = TruncatedSeries(total) * pochhammer(PochSpec(1, 2, 2, None), order) * 2
-    assert direct == gf_c_chain_stage("double_sum", order)
+    direct = oracle.TruncatedSeries(total) * oracle._poch(1, 2, 2, None, order) * 2
+    assert direct.coeffs == gf_c_chain_stage("double_sum", order).coeffs
 
 
 def test_chain_unknown_stage():
@@ -278,6 +328,16 @@ def test_euler_expansion_order_zero():
 def test_euler_expansion_rejects_bad_c():
     with pytest.raises(ValueError):
         euler_expansion_check(0, 10)
+
+
+def test_euler_expansion_rejects_a_negative_order_before_building(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a side was built at a negative order")
+
+    for side in ("_euler_lhs", "_euler_rhs"):
+        monkeypatch.setattr(series, side, forbidden)
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        euler_expansion_check(1, -1)
 
 
 @pytest.mark.parametrize("name", ["euler_AB", "shift_BC", "chain_C", "half_D", "thm_all"])
