@@ -114,6 +114,8 @@ def theorem_by_series(order: int = 200) -> str:
 @_criterion
 def c_forms_match_b(order: int = 200) -> str:
     """coeff(gf_C, n+1) = B(n) for 1 <= n <= order-1, in all three C forms."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
     b_values = count_table(B, order - 1, METHOD_DYNAMIC_PROGRAM)
     for form in C_FORMS:
         coeffs = gf_c_variant(form, order).coeffs
@@ -133,6 +135,8 @@ def chain_stages(order: int = 200) -> str:
 @_criterion
 def euler_expansion(max_c: int = 5, order: int = 100) -> str:
     """The reciprocal-product expansion at t = q^c and t = -q^c, c = 1..max_c."""
+    if max_c < 1:
+        raise ValueError("max_c must be >= 1")
     reports = (euler_expansion_check(c, order) for c in range(1, max_c + 1))
     return next((r.summary() for r in reports if not r.passed), "")
 

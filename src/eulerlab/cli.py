@@ -31,7 +31,7 @@ DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
 # split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
 # fresh interpreter, median of 5 (range): verify --identity chain_C --order
-# 2000 2.6 s (2.3-2.6 s); a count at --n 1000 by dynamic program or series
+# 2000 2.7 s (2.6-2.8 s); a count at --n 1000 by dynamic program or series
 # coefficient 0.11-0.14 s, at most 0.17 s, of which start-up (a count at --n 1)
 # is 0.07 s; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
 # 13.2 s (11.9-13.5 s) and 153 MB, and the same count by enumeration 3.8 s

@@ -309,6 +309,56 @@ def _div_poch_inf(c: list[int], sign: int, offset: int, step: int) -> list[int]:
     return c
 
 
+# Euler's pentagonal number theorem: (q;q)_inf = sum over all integers k of
+# (-1)^k q^(k(3k-1)/2), so (q^s;q^s)_inf has about sqrt(8N/(3s)) nonzero terms
+# up to q^N, and multiplying or dividing by it takes that many slice adds, or
+# a sum of that many terms per coefficient, in place of N/s factor passes.
+
+
+def _pentagonal_terms(length: int, step: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient) of the terms of (q^step;q^step)_inf but the
+    constant 1, below q^length, exponents ascending; each coefficient is +1 or -1."""
+    terms = []
+    k = 1
+    while (e := step * k * (3 * k - 1) // 2) < length:
+        sign = -1 if k % 2 else 1
+        terms.append((e, sign))
+        if e + step * k < length:  # the term of -k, at step*k(3k+1)/2
+            terms.append((e + step * k, sign))
+        k += 1
+    return terms
+
+
+def _mul_pentagonal(c: list[int], step: int) -> list[int]:
+    """c *= (q^step;q^step)_inf in place, truncated at len(c): one slice add
+    of the old values per pentagonal term."""
+    old = c[:]
+    for e, sign in _pentagonal_terms(len(c), step):
+        if sign == 1:
+            c[e:] = [x + y for x, y in zip(c[e:], old)]
+        else:
+            c[e:] = [x - y for x, y in zip(c[e:], old)]
+    return c
+
+
+def _div_pentagonal(c: list[int], step: int) -> list[int]:
+    """c /= (q^step;q^step)_inf in place, truncated at len(c), by the
+    recurrence Euler used for p(n): for j ascending, c[j] -= the sum of
+    coefficient * c[j-e] over the pentagonal terms with e <= j, from the new values."""
+    terms = _pentagonal_terms(len(c), step)
+    for j in range(step, len(c)):
+        acc = c[j]
+        for e, sign in terms:
+            if e > j:
+                break
+            if sign == 1:
+                acc -= c[j - e]
+            else:
+                acc += c[j - e]
+        c[j] = acc
+    return c
+
+
 def _unit(order: int) -> list[int]:
     return [1] + [0] * order
 

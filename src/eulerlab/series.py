@@ -15,9 +15,11 @@ from .partitions import (
     PartitionClass,
     _add_into,
     _div_factor,
+    _div_pentagonal,
     _div_poch_inf,
     _Immutable,
     _mul_factor,
+    _mul_pentagonal,
     _mul_poch_inf,
     _unit,
 )
@@ -221,7 +223,8 @@ class VerificationReport(NamedTuple):
 # names share one entry.  Rebinding a public name (a tracer, a seeded fault)
 # wraps that name alone, so every call to it is still seen; but a composite
 # cached earlier, such as the final stage's gf(D), keeps its value.
-_held: dict[object, TruncatedSeries] = {}
+# _euler_lhs holds its last side per sign here too, as (c, coefficients).
+_held: dict[object, TruncatedSeries | tuple[int, tuple[int, ...]]] = {}
 
 
 def _cached(key: object, order: int, build: Callable[[int], Sequence[int]]) -> TruncatedSeries:
@@ -282,7 +285,7 @@ def _stage_factored(order: int) -> list[int]:
     # form even_poch_ratio divided by (q^2;q^2)_inf.  The divide and the
     # multiply by (q^2;q^2)_inf are both kept, as the stage displays them.
     acc = list(_c_form("even_poch_ratio", order).coeffs)
-    return [2 * x for x in _mul_poch_inf(_div_poch_inf(acc, +1, 2, 2), +1, 2, 2)]
+    return [2 * x for x in _mul_pentagonal(_div_pentagonal(acc, 2), 2)]
 
 
 def _stage_double_sum(order: int) -> list[int]:
@@ -292,7 +295,7 @@ def _stage_double_sum(order: int) -> list[int]:
     # T_n / T_(n-1) = q^2 / ((1-q^(2n-1))(1-q^(2n))).
     ratio = ((1, 2, -1, -1), (1, 2, 0, -1))
     h = _sum_by_ratio(order, 2, ratio, term=lambda n, mo: _inner_m_sum(mo, 2 * n + 2))
-    return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
+    return [2 * x for x in _mul_pentagonal(h, 2)]
 
 
 def _stage_split_sum(order: int) -> list[int]:
@@ -305,7 +308,7 @@ def _stage_split_sum(order: int) -> list[int]:
         return () if n % 2 else _inner_m_sum(mo, n + 2)
 
     h = _sum_by_ratio(order, 1, ((1, 1, 0, -1),), term=addend)
-    return [2 * x for x in _mul_poch_inf(h, +1, 2, 2)]
+    return [2 * x for x in _mul_pentagonal(h, 2)]
 
 
 def _stage_bracket_reciprocals(order: int) -> list[int]:
@@ -313,12 +316,13 @@ def _stage_bracket_reciprocals(order: int) -> list[int]:
     #   [ 1/(q^(m+1);q)_inf + 1/(-q^(m+1);q)_inf ],
     # one sum per bracket half: for s = +1 and -1, 1/(s*q^(m+1);q)_inf is
     # (s*q;q)_m / (s*q;q)_inf, so T_m / T_(m-1) = q^2 (1-s*q^m) / (1-q^(2m)),
-    # and each folded half is divided once by (s*q;q)_inf.
-    plus, minus = (
-        _div_poch_inf(_sum_by_ratio(order, 2, ((sign, 1, 0, 1), (1, 2, 0, -1))), sign, 1, 1)
-        for sign in (+1, -1)
-    )
-    return _mul_poch_inf(_add_into(plus, minus), +1, 2, 2)
+    # and each folded half is divided once by (s*q;q)_inf.  The + half divides
+    # by (q;q)_inf sparsely; the - half divides by (-q;q)_inf factor by
+    # factor, since writing it as (q;q)_inf / (q^2;q^2)_inf is the first step
+    # of Euler's own proof of A = B.
+    plus = _div_pentagonal(_sum_by_ratio(order, 2, ((1, 1, 0, 1), (1, 2, 0, -1))), 1)
+    minus = _div_poch_inf(_sum_by_ratio(order, 2, ((-1, 1, 0, 1), (1, 2, 0, -1))), -1, 1, 1)
+    return _mul_pentagonal(_add_into(plus, minus), 2)
 
 
 def _stage_final(order: int) -> list[int]:
@@ -352,8 +356,23 @@ gf_class.cache_clear = gf_c_variant.cache_clear = gf_c_chain_stage.cache_clear =
 
 
 def _euler_lhs(c: int, sign: int, order: int) -> list[int]:
-    # 1/(t;q)_inf at t = sign*q^c, the product running over (1 - sign*q^(c+i))
-    return _div_poch_inf(_unit(order), sign, c, 1)
+    # 1/(t;q)_inf at t = sign*q^c, the product running over (1 - sign*q^(c+i)).
+    # The last side built for each sign is held in _held with its c, say c'.
+    # Held at this order or above, its prefix is stepped to c: divided by
+    # (1 - sign*q^e) for e in c..c'-1, or multiplied by those for e in c'..c-1.
+    # Otherwise the side is built cold.  The caller gets a list of its own.
+    key = ("euler_lhs", sign)
+    if (held := _held.get(key)) is None or len(held[1]) <= order:
+        lhs = _div_poch_inf(_unit(order), sign, c, 1)
+    else:
+        held_c, coeffs = held
+        lhs = list(coeffs[: order + 1])
+        for e in range(c, held_c):
+            _div_factor(lhs, sign, e)
+        for e in range(held_c, c):
+            _mul_factor(lhs, sign, e)
+    _held[key] = (c, tuple(lhs))
+    return lhs
 
 
 def _euler_rhs(c: int, sign: int, order: int) -> list[int]:

@@ -14,7 +14,9 @@ def fresh_series_cache():
     serves its own order and every lower one, would let a test of the build
     route pass without building anything.  The dynamic-program count tables
     are held the same way, so a warm one would hide a rebound _dp_counts and
-    serve a count without entering the dynamic program.
+    serve a count without entering the dynamic program.  The same clear
+    empties the Euler left sides that _euler_lhs holds, one per sign, so a
+    test's first left side of each sign is built cold.
     """
     for builder in CACHED_BUILDERS:
         builder.cache_clear()

@@ -6,6 +6,8 @@ criterion is registered under, and enforces the criterion's runtime budget
 where one is stated.
 """
 
+import pytest
+
 from eulerlab import acceptance
 
 
@@ -64,3 +66,18 @@ def test_oracle_equivalence_to_30():
     # Enumeration, dynamic program, and series coefficient agree for every
     # class and all n <= 30.
     _check(acceptance.oracle_equivalence, 30)
+
+
+# Degenerate arguments raise rather than pass with nothing compared, and the
+# error names the criterion's own argument.
+@pytest.mark.parametrize(
+    "criterion,args,message",
+    [
+        (acceptance.euler_expansion, (0, 50), "max_c must be >= 1"),
+        (acceptance.c_forms_match_b, (0,), "order must be >= 2"),
+        (acceptance.c_forms_match_b, (1,), "order must be >= 2"),
+    ],
+)
+def test_degenerate_arguments_raise(criterion, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        criterion(*args)

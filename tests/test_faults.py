@@ -10,15 +10,19 @@ class once per weight and evaluate each map once per argument and weight.
 The counting tests add one to a dynamic-program
 count, or to one coefficient of a division in the kernel that the dynamic
 program and the series share, or drop one coefficient of the kernel's shifted
-add, and assert the detail of oracle_equivalence.
+add, and assert the detail of oracle_equivalence.  A sign flipped in one
+term of the sparse (q^step;q^step)_inf must fail the kernel's comparison with
+the factor-by-factor route and name the chain stage it reaches first.
 So no check passes vacuously.
 """
 
 from collections import Counter
 
 import pytest
+from test_kernel import sparse_mismatches
 
 from eulerlab import acceptance, partitions, series
+from eulerlab.cli import MAX_ORDER
 from eulerlab.maps import ReductionCase, ReductionTag
 from eulerlab.partitions import PartitionClass, normalize
 from eulerlab.series import C_FORMS, CHAIN_STAGES, IDENTITY_NAMES, TruncatedSeries
@@ -213,6 +217,28 @@ def test_shared_kernel_fault_is_caught_by_enumeration(monkeypatch):
     assert not result.passed
     assert result.detail == (
         "class B, n=17: {'enumeration': 38, 'dynamic-program': 39, 'series-coefficient': 39}"
+    )
+
+
+def test_pentagonal_sign_fault_is_caught(monkeypatch):
+    # The term q^(5*step) of (q^step;q^step)_inf with its sign flipped, in the
+    # sparse product and quotient alike.  factored divides by the product and
+    # multiplies it back, so the fault cancels there; double_sum, the next
+    # stage, multiplies by (q^2;q^2)_inf and is off by 4 at q^10.
+    original = partitions._pentagonal_terms
+
+    def flipped(length, step):
+        return [(e, -sign if e == 5 * step else sign) for e, sign in original(length, step)]
+
+    monkeypatch.setattr(partitions, "_pentagonal_terms", flipped)
+    assert sparse_mismatches(MAX_ORDER) == [
+        ("_mul_pentagonal", 1),
+        ("_mul_pentagonal", 2),
+        ("_div_pentagonal", 1),
+        ("_div_pentagonal", 2),
+    ]
+    assert series.verify_identity("chain_C", 60).summary() == (
+        "chain_C order=60 FAIL at q^10: 12 != 16 [stage=double_sum]"
     )
 
 

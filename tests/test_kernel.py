@@ -11,7 +11,10 @@ generic TruncatedSeries ring at all.  The in-place primitives, which live in
 partitions and serve its dynamic programs too, are checked against the
 oracle's reference ring and against the oracle's copy of the kernel: the
 factor passes against ring products and reciprocals, the shifted add against
-the ring's target + q^at * coeffs.
+the ring's target + q^at * coeffs.  The sparse product and quotient by
+(q^step;q^step)_inf, from Euler's pentagonal number theorem, are checked
+against the factor-by-factor passes to the CLI's highest order and against
+the oracle's ring product.
 """
 
 import pytest
@@ -20,11 +23,17 @@ from hypothesis import strategies as st
 
 import oracle
 from eulerlab import series
+from eulerlab.cli import MAX_ORDER
 from eulerlab.partitions import (
     PartitionClass,
     _add_into,
     _div_factor,
+    _div_pentagonal,
+    _div_poch_inf,
     _mul_factor,
+    _mul_pentagonal,
+    _mul_poch_inf,
+    _unit,
     count_table,
 )
 from eulerlab.series import (
@@ -135,6 +144,45 @@ def test_mul_then_div_is_identity(coeffs, e, sign):
     assert c == coeffs
 
 
+# The sparse products and quotients by (q^step;q^step)_inf, step 1 or 2,
+# against the factor-by-factor route they replace in the chain stages, to the
+# highest order the CLI accepts, and against the oracle ring's product.
+STEPS = (1, 2)
+
+
+def sparse_mismatches(order: int) -> list[tuple[str, int]]:
+    """The (primitive, step) pairs whose sparse result on the unit, to order,
+    differs from the dense one: the product itself, and its reciprocal."""
+    routes = (
+        (_mul_pentagonal, _mul_poch_inf),
+        (_div_pentagonal, _div_poch_inf),
+    )
+    return [
+        (sparse.__name__, step)
+        for sparse, dense in routes
+        for step in STEPS
+        if sparse(_unit(order), step) != dense(_unit(order), +1, step, step)
+    ]
+
+
+def test_sparse_products_match_dense_to_max_order():
+    assert sparse_mismatches(MAX_ORDER) == []
+
+
+@example([1] * 300, 1)
+@example(list(range(-150, 150)), 2)
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=300), st.sampled_from(STEPS))
+def test_sparse_products_match_ring(coeffs, step):
+    given_series = oracle.TruncatedSeries(coeffs)
+    product = oracle._poch(+1, step, step, None, len(coeffs) - 1)
+    c = list(coeffs)
+    assert _mul_pentagonal(c, step) is c
+    assert tuple(c) == (product * given_series).coeffs
+    c = list(coeffs)
+    assert _div_pentagonal(c, step) is c
+    assert tuple(c) == (given_series * product.reciprocal()).coeffs
+
+
 # A ratio factor (sign, a, b, power) is (1 - sign*q^(a*n + b))^power; its
 # exponent at n = 1, a + b, is at least 1.
 ratio_factors = st.integers(1, 3).flatmap(
@@ -188,6 +236,70 @@ def test_euler_lhs_matches_reference(order):
     for c in range(1, 6):
         for sign in (1, -1):
             assert _euler_lhs(c, sign, order) == oracle.slow_euler_lhs(c, sign, order), (c, sign)
+
+
+# ------------------------------------------------- held Euler left sides
+
+# _euler_lhs holds its last side per sign and steps it to the next c by single
+# factors; every warm side must equal the cold build and the slow reference.
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_held_euler_lhs_matches_cold_build(sign):
+    for order in range(60, -1, -1):
+        for c in range(1, 7):
+            cold = _div_poch_inf(_unit(order), sign, c, 1)
+            assert cold == oracle.slow_euler_lhs(c, sign, order), (c, order)
+            for held_c in range(1, 7):
+                # held at the same order, and at a higher one
+                for held_order in {order, 60}:
+                    gf_class.cache_clear()
+                    _euler_lhs(held_c, sign, held_order)
+                    assert _euler_lhs(c, sign, order) == cold, (c, held_c, held_order, order)
+
+
+@pytest.fixture
+def cold_builds(monkeypatch):
+    """The (c, sign, order) of every cold Euler left side built while the test runs."""
+    builds = []
+    dense = series._div_poch_inf
+
+    def counted(coeffs, sign, offset, step):
+        builds.append((offset, sign, len(coeffs) - 1))
+        return dense(coeffs, sign, offset, step)
+
+    monkeypatch.setattr(series, "_div_poch_inf", counted)
+    return builds
+
+
+def test_higher_order_than_held_rebuilds_cold(cold_builds):
+    _euler_lhs(2, 1, 20)
+    assert _euler_lhs(3, 1, 20) == oracle.slow_euler_lhs(3, 1, 20)
+    assert _euler_lhs(1, 1, 15) == oracle.slow_euler_lhs(1, 1, 15)
+    assert cold_builds == [(2, 1, 20)]
+    assert _euler_lhs(4, 1, 16) == oracle.slow_euler_lhs(4, 1, 16)
+    assert _euler_lhs(5, -1, 16) == oracle.slow_euler_lhs(5, -1, 16)
+    assert cold_builds == [(2, 1, 20), (4, 1, 16), (5, -1, 16)]
+
+
+def test_mutating_a_held_side_changes_no_later_one():
+    first = _euler_lhs(2, -1, 30)
+    first[7] += 1
+    first.append(5)
+    assert _euler_lhs(2, -1, 30) == oracle.slow_euler_lhs(2, -1, 30)
+    again = _euler_lhs(2, -1, 30)
+    again[:] = []
+    assert _euler_lhs(3, -1, 30) == oracle.slow_euler_lhs(3, -1, 30)
+
+
+def test_cache_clear_empties_the_held_sides(cold_builds):
+    for sign in (1, -1):
+        _euler_lhs(1, sign, 10)
+    assert {("euler_lhs", 1), ("euler_lhs", -1)} <= set(series._held)
+    gf_class.cache_clear()
+    assert not series._held
+    _euler_lhs(2, 1, 10)
+    assert cold_builds == [(1, 1, 10), (1, -1, 10), (2, 1, 10)]
 
 
 # ----------------------------------------------- no ring on the fast route

@@ -10,6 +10,8 @@ enters are compared with a pinned set.  Records, predicates and dispatch
 (count_table, the identity checks, the criteria themselves) belong to no
 route.  Every module-level function of the four library modules is named
 below, so a new function must be given a route before this test passes.
+The kernel's sparse products by (q;q)_inf and (q^2;q^2)_inf must be reached
+from the chain stages only, never from a product that a check tests.
 """
 
 import inspect
@@ -59,7 +61,8 @@ ROUTES = {
     ),
     KERNEL: (
         partitions,
-        ("_mul_factor", "_div_factor", "_add_into", "_mul_poch_inf", "_div_poch_inf", "_unit"),
+        ("_mul_factor", "_div_factor", "_add_into", "_mul_poch_inf", "_div_poch_inf", "_unit")
+        + ("_pentagonal_terms", "_mul_pentagonal", "_div_pentagonal"),
     ),
 }
 
@@ -219,3 +222,70 @@ def test_seeded_route_violation_is_seen(monkeypatch):
     result, routes, _ = trace_routes(acceptance.theorem_by_enumeration, *args)
     assert result.passed
     assert routes == {GENERATORS, DYNAMIC_PROGRAM, KERNEL} != expected
+
+
+# The sparse products by (q;q)_inf and (q^2;q^2)_inf serve the chain stages
+# only.  Where the product is itself under test (the generating functions of
+# A, B and D, the dynamic programs, the left side of the Euler expansion)
+# it stays a product of single factors: (-q;q)_inf written as
+# (q^2;q^2)_inf / (q;q)_inf would be the first step of Euler's own proof
+# of A = B.
+SPARSE = ("_pentagonal_terms", "_mul_pentagonal", "_div_pentagonal")
+FACTOR_BY_FACTOR = (
+    [(series.gf_class, cls, 20) for cls in (PartitionClass.A, PartitionClass.B, PartitionClass.D)]
+    + [(partitions.count_table, cls, 20, "dynamic-program") for cls in PartitionClass]
+    + [(series._euler_lhs, c, sign, 20) for c in range(1, 6) for sign in (1, -1)]
+)
+
+
+def sparse_calls(run, *args) -> Counter:
+    """Calls to the sparse primitives that run(*args) makes from empty caches."""
+    series.gf_class.cache_clear()
+    partitions.count_table.cache_clear()
+    _, _, calls = trace_routes(run, *args)
+    return Counter({name: calls[name] for name in SPARSE if calls[name]})
+
+
+def sparse_products_under_test() -> dict[tuple, Counter]:
+    """The sparse calls of each run of FACTOR_BY_FACTOR that makes any."""
+    calls = {(run.__name__, *args): sparse_calls(run, *args) for run, *args in FACTOR_BY_FACTOR}
+    return {run: counted for run, counted in calls.items() if counted}
+
+
+def test_products_under_test_stay_factor_by_factor():
+    assert sparse_products_under_test() == {}
+
+
+def test_seeded_sparse_product_in_gf_a_is_seen(monkeypatch):
+    # gf(A), and gf(D), which multiplies by the same product, built as
+    # (q^2;q^2)_inf / (q;q)_inf: the counts stay right, the route does not.
+    dense = series._mul_poch_inf
+
+    def via_euler(c, sign, offset, step):
+        if (sign, offset, step) == (-1, 1, 1):
+            return partitions._div_pentagonal(partitions._mul_pentagonal(c, 2), 1)
+        return dense(c, sign, offset, step)
+
+    monkeypatch.setattr(series, "_mul_poch_inf", via_euler)
+    seen = Counter(_pentagonal_terms=2, _mul_pentagonal=1, _div_pentagonal=1)
+    assert sparse_products_under_test() == {
+        ("gf_class", PartitionClass.A, 20): seen,
+        ("gf_class", PartitionClass.D, 20): seen,
+    }
+    for cls in (PartitionClass.A, PartitionClass.D):
+        assert series.gf_class(cls, 20).coeffs == partitions.count_table(cls, 20), cls
+
+
+# Each chain stage's sparse calls from empty caches.
+STAGE_SPARSE_CALLS = {
+    "factored": Counter(_pentagonal_terms=2, _mul_pentagonal=1, _div_pentagonal=1),
+    "double_sum": Counter(_pentagonal_terms=1, _mul_pentagonal=1),
+    "split_sum": Counter(_pentagonal_terms=1, _mul_pentagonal=1),
+    "bracket_reciprocals": Counter(_pentagonal_terms=2, _mul_pentagonal=1, _div_pentagonal=1),
+    "final": Counter(),
+}
+
+
+@pytest.mark.parametrize("stage", series.CHAIN_STAGES)
+def test_chain_stage_sparse_calls(stage):
+    assert sparse_calls(series.gf_c_chain_stage, stage, 20) == STAGE_SPARSE_CALLS[stage]

@@ -380,7 +380,14 @@ BUILDS = (
 
 # Every build of a series calls at least one of these steps; a series served
 # from the cache calls none of them.
-BUILD_STEPS = ("_sum_by_ratio", "_mul_poch_inf", "_div_poch_inf", "_add_into")
+BUILD_STEPS = (
+    "_sum_by_ratio",
+    "_mul_poch_inf",
+    "_div_poch_inf",
+    "_mul_pentagonal",
+    "_div_pentagonal",
+    "_add_into",
+)
 
 
 def _clear_caches() -> None:
@@ -585,12 +592,23 @@ def test_cache_stays_bounded(build_steps):
 
 # ------------------------------------------------------------ growth gate
 
+
+def _sparse_slice_lengths(c: list[int], step: int) -> int:
+    """len(c) - g summed over the exponents g = step*k(3k-1)/2, k != 0, of the
+    terms of (q^step;q^step)_inf below len(c): a sparse product or quotient
+    rewrites, for each term but the constant 1, the slice from its exponent on."""
+    exponents = (step * k * (3 * k - 1) // 2 for k in range(-len(c), len(c) + 1) if k)
+    return sum(len(c) - g for g in exponents if g < len(c))
+
+
 # The coefficients one call of an in-place primitive updates: the length of
 # the slice it rewrites.
 SLICE_LENGTHS = {
     "_mul_factor": lambda c, sign, e: max(len(c) - e, 0),
     "_div_factor": lambda c, sign, e: max(len(c) - e, 0),
     "_add_into": lambda target, coeffs, at=0: max(min(len(target) - at, len(coeffs)), 0),
+    "_mul_pentagonal": _sparse_slice_lengths,
+    "_div_pentagonal": _sparse_slice_lengths,
 }
 
 
@@ -622,21 +640,35 @@ def coeff_updates(monkeypatch):
 # Coefficient updates of each identity and chain stage from empty caches at
 # orders 250 and 1000, and bounds on their growth per doubling of the order,
 # (at_1000 / at_250) ** (1/2).  The counts do not depend on the machine.  An
-# O(N^2) build grows about 4x.  double_sum and split_sum are O(N^2 log N):
-# each outer n runs an inner m-sum of about (N - 2n)^2 / (4n + 4) updates.
-# chain_C holds builds of both kinds.
+# O(N^2) build grows about 4x.  The m-sums of double_sum and split_sum are
+# O(N^2 log N): each outer n runs an inner m-sum of about (N - 2n)^2 / (4n + 4)
+# updates, which alone grows about 4.5x here.  chain_C holds builds of both
+# kinds.
 QUADRATIC = (3.99, 4.01)
 WITH_LOG = (4.36, 4.44)
+LOG_ALONE = (4.47, 4.55)
+# A sparse product or quotient by (q;q)_inf or (q^2;q^2)_inf is O(N^1.5) and
+# grows 2^1.5 = 2.83x, 2.87-2.89x here with its lower-order terms.  A stage
+# that mixes one into its other work grows by the root of the mean of the
+# squared growths of the two, weighted by their shares of the updates at
+# order 250; `share` is the sparse one.
+SPARSE = (2.86, 2.90)
+
+
+def with_sparse(share: float, other: tuple[float, float]) -> tuple[float, float]:
+    return tuple(((1 - share) * g * g + share * p * p) ** 0.5 for g, p in zip(other, SPARSE))
+
+
 COEFF_UPDATES = {
     "euler_AB": (47_125, 751_000, QUADRATIC),
     "shift_BC": (52_062, 833_250, QUADRATIC),
-    "chain_C": (432_011, 7_546_455, (QUADRATIC[0], WITH_LOG[1])),
+    "chain_C": (340_634, 5_946_340, (QUADRATIC[0], WITH_LOG[1])),
     "half_D": (78_064, 1_249_752, QUADRATIC),
     "thm_all": (125_187, 2_000_750, QUADRATIC),
-    "factored": (54_562, 874_500, QUADRATIC),
-    "double_sum": (88_317, 1_731_226, WITH_LOG),
-    "split_sum": (88_380, 1_731_476, WITH_LOG),
-    "bracket_reciprocals": (114_876, 1_834_501, QUADRATIC),
+    "factored": (28_930, 421_264, with_sparse(0.194, QUADRATIC)),
+    "double_sum": (75_501, 1_504_608, with_sparse(0.037, LOG_ALONE)),
+    "split_sum": (75_564, 1_504_858, with_sparse(0.037, LOG_ALONE)),
+    "bracket_reciprocals": (74_763, 1_140_858, with_sparse(0.092, QUADRATIC)),
     "final": (41_752, 667_002, QUADRATIC),
 }
 
@@ -653,6 +685,32 @@ def test_coefficient_updates_are_pinned(coeff_updates, name):
     at_250, at_1000, (low, high) = COEFF_UPDATES[name]
     assert low <= (counts[1] / counts[0]) ** 0.5 <= high
     assert counts == [at_250, at_1000]
+
+
+# Coefficient updates of euler_expansion_check for c = 1..5, in turn, from
+# empty caches at orders 250 and 1000.  Each sign's left side is built cold
+# once, at c = 1, in N(N+1)/2 updates; each later c steps the held side by
+# one factor pass, N + 1 - e updates for e = c - 1.  The right sides are
+# O(N^2) folds, built afresh for every c.
+EULER_EXPANSION_UPDATES = (154_838, 2_456_888)
+
+
+def test_euler_expansion_updates_are_pinned(coeff_updates):
+    counts = []
+    for order in (250, 1000):
+        _clear_caches()
+        coeff_updates.clear()
+        for c in range(1, 6):
+            assert euler_expansion_check(c, order).passed, c
+        total = coeff_updates.total()
+        coeff_updates.clear()
+        for c in range(1, 6):
+            for sign in (1, -1):
+                series._euler_rhs(c, sign, order)
+        cold, steps = order * (order + 1) // 2, sum(order + 1 - e for e in range(1, 5))
+        assert total - coeff_updates.total() == 2 * (cold + steps)
+        counts.append(total)
+    assert counts == list(EULER_EXPANSION_UPDATES)
 
 
 # Coefficient updates of count_table(cls, n) by dynamic program at n = 250 and
