@@ -96,6 +96,8 @@ def golden_table() -> str:
 @_criterion
 def theorem_by_enumeration(n_max: int = 60) -> str:
     """A(n) = B(n) = C(n+1) = D(n+1)/2 by exhaustive listing, 1 <= n <= n_max."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     a, b = (count_table(cls, n_max, METHOD_ENUMERATION, n_max + 1) for cls in (A, B))
     c, d = (count_table(cls, n_max + 1, METHOD_ENUMERATION, n_max + 1) for cls in (C, D))
     for n in range(1, n_max + 1):
@@ -154,6 +156,8 @@ def bijection_suite(max_weight: int = 40) -> str:
     in this module at that step (tests and tracers rebind them) and drops
     the memo at its end.
     """
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
     for n in range(0, max_weight + 1):
         to_odd, to_distinct, up_to_c, down_to_b = map(
             functools.cache, (glaisher_to_odd, glaisher_to_distinct, b_to_c, c_to_b)

@@ -171,8 +171,7 @@ def _sum_by_ratio(
             apply(h, sign, a * (n + 1) + b)
         if scale == -1:
             h = [-x for x in h]
-        h[:0] = [0] * gap
-        del h[order - gap * n + 1 :]
+        h[:0] = [0] * min(gap, order - gap * n + 1)
         if term is None:
             h[0] += 1
         else:
@@ -217,14 +216,14 @@ class VerificationReport(NamedTuple):
         )
 
 
-# One table holds, per class, C form or chain stage, the highest-order series
-# built so far, and serves a lower order as its prefix: coefficient n depends
-# only on exponents up to n.  gf(C) is the form sum_over_largest, so the two
-# names share one entry.  Rebinding a public name (a tracer, a seeded fault)
-# wraps that name alone, so every call to it is still seen; but a composite
-# cached earlier, such as the final stage's gf(D), keeps its value.
-# _euler_lhs holds its last side per sign here too, as (c, coefficients).
-_held: dict[object, TruncatedSeries | tuple[int, tuple[int, ...]]] = {}
+# One table holds, per class, C form, chain stage or Euler base, the
+# highest-order series built so far, and serves a lower order as its prefix:
+# coefficient n depends only on exponents up to n.  gf(C) is the form
+# sum_over_largest, so the two names share one entry.  Rebinding a public name
+# (a tracer, a seeded fault) wraps that name alone, so every call to it is
+# still seen; but a composite cached earlier, such as the final stage's gf(D),
+# keeps its value.
+_held: dict[object, TruncatedSeries] = {}
 
 
 def _cached(key: object, order: int, build: Callable[[int], Sequence[int]]) -> TruncatedSeries:
@@ -356,22 +355,13 @@ gf_class.cache_clear = gf_c_variant.cache_clear = gf_c_chain_stage.cache_clear =
 
 
 def _euler_lhs(c: int, sign: int, order: int) -> list[int]:
-    # 1/(t;q)_inf at t = sign*q^c, the product running over (1 - sign*q^(c+i)).
-    # The last side built for each sign is held in _held with its c, say c'.
-    # Held at this order or above, its prefix is stepped to c: divided by
-    # (1 - sign*q^e) for e in c..c'-1, or multiplied by those for e in c'..c-1.
-    # Otherwise the side is built cold.  The caller gets a list of its own.
-    key = ("euler_lhs", sign)
-    if (held := _held.get(key)) is None or len(held[1]) <= order:
-        lhs = _div_poch_inf(_unit(order), sign, c, 1)
-    else:
-        held_c, coeffs = held
-        lhs = list(coeffs[: order + 1])
-        for e in range(c, held_c):
-            _div_factor(lhs, sign, e)
-        for e in range(held_c, c):
-            _mul_factor(lhs, sign, e)
-    _held[key] = (c, tuple(lhs))
+    # 1/(t;q)_inf at t = sign*q^c: the held 1/(sign*q;q)_inf times the factors
+    # (1 - sign*q^e) for e in 1..c-1, of which those past q^order change
+    # nothing.  The caller gets a list of its own.
+    base = _cached(("euler_lhs", sign), order, lambda n: _div_poch_inf(_unit(n), sign, 1, 1))
+    lhs = list(base.coeffs)
+    for e in range(1, min(c, order + 1)):
+        _mul_factor(lhs, sign, e)
     return lhs
 
 

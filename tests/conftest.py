@@ -15,8 +15,8 @@ def fresh_series_cache():
     route pass without building anything.  The dynamic-program count tables
     are held the same way, so a warm one would hide a rebound _dp_counts and
     serve a count without entering the dynamic program.  The same clear
-    empties the Euler left sides that _euler_lhs holds, one per sign, so a
-    test's first left side of each sign is built cold.
+    empties the bases 1/(q;q)_inf and 1/(-q;q)_inf that _euler_lhs holds,
+    so a test's first left side of each sign builds its base cold.
     """
     for builder in CACHED_BUILDERS:
         builder.cache_clear()

@@ -76,8 +76,20 @@ def test_oracle_equivalence_to_30():
         (acceptance.euler_expansion, (0, 50), "max_c must be >= 1"),
         (acceptance.c_forms_match_b, (0,), "order must be >= 2"),
         (acceptance.c_forms_match_b, (1,), "order must be >= 2"),
+        (acceptance.theorem_by_enumeration, (0,), "n_max must be >= 1"),
+        (acceptance.theorem_by_enumeration, (-1,), "n_max must be >= 1"),
+        (acceptance.bijection_suite, (-1,), "max_weight must be >= 0"),
     ],
 )
 def test_degenerate_arguments_raise(criterion, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         criterion(*args)
+
+
+# The lowest arguments that still compare something pass: n = 1, and weight 0,
+# whose Glaisher round trips take the empty partition.
+@pytest.mark.parametrize(
+    "criterion,arg", [(acceptance.theorem_by_enumeration, 1), (acceptance.bijection_suite, 0)]
+)
+def test_lowest_arguments_pass(criterion, arg):
+    _check(criterion, arg)

@@ -12,8 +12,9 @@ count, or to one coefficient of a division in the kernel that the dynamic
 program and the series share, or drop one coefficient of the kernel's shifted
 add, and assert the detail of oracle_equivalence.  A sign flipped in one
 term of the sparse (q^step;q^step)_inf must fail the kernel's comparison with
-the factor-by-factor route and name the chain stage it reaches first.
-So no check passes vacuously.
+the factor-by-factor route and name the chain stage it reaches first, and
+one flipped in the Euler left side's multiply-up step must fail the expansion
+at the first c that step reaches.  So no check passes vacuously.
 """
 
 from collections import Counter
@@ -118,6 +119,33 @@ def test_euler_expansion_fault_is_reported(monkeypatch, sign, context):
 def test_euler_lhs_fault_is_reported(monkeypatch, sign, summary):
     _perturb_euler(monkeypatch, "_euler_lhs", 2, sign)
     assert series.euler_expansion_check(2, ORDER).summary() == summary
+
+
+# The left side multiplies its held base 1/(sign*q;q)_inf up to c by
+# (1 - sign*q^e) for e in 1..c-1; the right side folds with _div_factor alone.
+# A sign flipped at q^2 in that multiply first reaches c = 3, whose left side
+# is off by 2q^2 times the base and (1 - q).
+def test_euler_lhs_multiply_up_fault_is_reported(monkeypatch):
+    original = series._mul_factor
+
+    def flipped(coeffs, sign, e):
+        original(coeffs, -sign if e == 2 else sign, e)
+
+    monkeypatch.setattr(series, "_mul_factor", flipped)
+    for c in (1, 2):
+        assert series.euler_expansion_check(c, ORDER).passed, c
+    _assert_caught(series.euler_expansion_check(3, ORDER), 2, "t=q^c", gap=2)
+    assert all(isinstance(s, TruncatedSeries) for s in series._held.values())
+
+
+# The held bases serve every c, and a lower order as a prefix, so after all
+# orders up to 99 each sign holds one series, at order 99.
+def test_held_euler_bases_reach_the_highest_order():
+    for order in range(100):
+        for c in range(1, 7):
+            assert series.euler_expansion_check(c, order).passed, (c, order)
+    assert all(isinstance(s, TruncatedSeries) for s in series._held.values())
+    assert [series._held[("euler_lhs", sign)].order for sign in (1, -1)] == [99, 99]
 
 
 # The lowest comparison of thm_all, at n = 1, reads D(2); the next reads D(3).

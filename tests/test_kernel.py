@@ -240,8 +240,9 @@ def test_euler_lhs_matches_reference(order):
 
 # ------------------------------------------------- held Euler left sides
 
-# _euler_lhs holds its last side per sign and steps it to the next c by single
-# factors; every warm side must equal the cold build and the slow reference.
+# _euler_lhs holds 1/(sign*q;q)_inf per sign and multiplies its prefix up to
+# each c by single factors; every warm side must equal the cold build and the
+# slow reference.
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -260,7 +261,7 @@ def test_held_euler_lhs_matches_cold_build(sign):
 
 @pytest.fixture
 def cold_builds(monkeypatch):
-    """The (c, sign, order) of every cold Euler left side built while the test runs."""
+    """The (offset, sign, order) of every Euler base built while the test runs."""
     builds = []
     dense = series._div_poch_inf
 
@@ -276,10 +277,11 @@ def test_higher_order_than_held_rebuilds_cold(cold_builds):
     _euler_lhs(2, 1, 20)
     assert _euler_lhs(3, 1, 20) == oracle.slow_euler_lhs(3, 1, 20)
     assert _euler_lhs(1, 1, 15) == oracle.slow_euler_lhs(1, 1, 15)
-    assert cold_builds == [(2, 1, 20)]
     assert _euler_lhs(4, 1, 16) == oracle.slow_euler_lhs(4, 1, 16)
+    assert cold_builds == [(1, 1, 20)]
     assert _euler_lhs(5, -1, 16) == oracle.slow_euler_lhs(5, -1, 16)
-    assert cold_builds == [(2, 1, 20), (4, 1, 16), (5, -1, 16)]
+    assert _euler_lhs(4, 1, 21) == oracle.slow_euler_lhs(4, 1, 21)
+    assert cold_builds == [(1, 1, 20), (1, -1, 16), (1, 1, 21)]
 
 
 def test_mutating_a_held_side_changes_no_later_one():
@@ -299,7 +301,7 @@ def test_cache_clear_empties_the_held_sides(cold_builds):
     gf_class.cache_clear()
     assert not series._held
     _euler_lhs(2, 1, 10)
-    assert cold_builds == [(1, 1, 10), (1, -1, 10), (2, 1, 10)]
+    assert cold_builds == [(1, 1, 10), (1, -1, 10), (1, 1, 10)]
 
 
 # ----------------------------------------------- no ring on the fast route

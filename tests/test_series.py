@@ -1,7 +1,12 @@
 import gc
 import inspect
+import os
 import re
+import resource
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -338,6 +343,66 @@ def test_euler_expansion_rejects_a_negative_order_before_building(monkeypatch):
         monkeypatch.setattr(series, side, forbidden)
     with pytest.raises(ValueError, match="^order must be non-negative$"):
         euler_expansion_check(1, -1)
+
+
+# The cost of an Euler check is bounded by its order, whatever c is and
+# whatever ran before: the left side multiplies its held base by at most
+# order factors, and the right side's fold shifts by at most order + 1 places.
+
+
+def test_euler_lhs_passes_are_bounded_by_the_order(monkeypatch):
+    passes = Counter()
+
+    def counted(name, primitive):
+        def wrapper(*args):
+            passes[name] += 1
+            return primitive(*args)
+
+        return wrapper
+
+    for name in ("_mul_factor", "_div_factor"):
+        primitive = getattr(partitions, name)
+        for module in (partitions, series):
+            monkeypatch.setattr(module, name, counted(name, primitive))
+    order = 10
+    for c in (10**6, 1, 10**6):
+        passes.clear()
+        series._euler_lhs(c, 1, order)
+        assert passes.total() <= 2 * (order + 1), (c, passes)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_CAPS = ((resource.RLIMIT_AS, 1 << 30), (resource.RLIMIT_CPU, 20))
+
+
+def _capped():
+    # runs in the child between fork and exec, so the caps bind the child alone
+    for limit, value in CHILD_CAPS:
+        resource.setrlimit(limit, (value, value))
+
+
+def test_euler_expansion_at_a_huge_c_runs_in_a_capped_child():
+    # Never run these arguments without the caps: a shift by q^c that
+    # allocates c slots asks for 8 GB at c = 10**9.
+    script = (
+        "from time import perf_counter\n"
+        "from eulerlab.series import euler_expansion_check\n"
+        "t0 = perf_counter()\n"
+        "for c in (10**9, 1, 10**9):\n"
+        "    assert euler_expansion_check(c, 10).passed, c\n"
+        "print(perf_counter() - t0)\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=_capped,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 @pytest.mark.parametrize("name", ["euler_AB", "shift_BC", "chain_C", "half_D", "thm_all"])
@@ -688,11 +753,11 @@ def test_coefficient_updates_are_pinned(coeff_updates, name):
 
 
 # Coefficient updates of euler_expansion_check for c = 1..5, in turn, from
-# empty caches at orders 250 and 1000.  Each sign's left side is built cold
-# once, at c = 1, in N(N+1)/2 updates; each later c steps the held side by
-# one factor pass, N + 1 - e updates for e = c - 1.  The right sides are
-# O(N^2) folds, built afresh for every c.
-EULER_EXPANSION_UPDATES = (154_838, 2_456_888)
+# empty caches at orders 250 and 1000.  Each sign's base 1/(sign*q;q)_inf is
+# built once, at c = 1, in N(N+1)/2 updates, and held; each c multiplies a copy
+# of it by (1 - sign*q^e) for e in 1..c-1, N + 1 - e updates per factor.  The
+# right sides are O(N^2) folds, built afresh for every c.
+EULER_EXPANSION_UPDATES = (157_830, 2_468_880)
 
 
 def test_euler_expansion_updates_are_pinned(coeff_updates):
@@ -707,7 +772,8 @@ def test_euler_expansion_updates_are_pinned(coeff_updates):
         for c in range(1, 6):
             for sign in (1, -1):
                 series._euler_rhs(c, sign, order)
-        cold, steps = order * (order + 1) // 2, sum(order + 1 - e for e in range(1, 5))
+        cold = order * (order + 1) // 2
+        steps = sum(order + 1 - e for c in range(2, 6) for e in range(1, c))
         assert total - coeff_updates.total() == 2 * (cold + steps)
         counts.append(total)
     assert counts == list(EULER_EXPANSION_UPDATES)
