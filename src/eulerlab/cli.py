@@ -29,14 +29,14 @@ from .partitions import (
 
 DEFAULT_ORDER = 200
 # Largest --order, --n, --cutoff and map input weight accepted (Glaisher's
-# split makes 2^k parts of one part 2^k).  Worst cases on a 2-vCPU Xeon, in a
-# fresh interpreter, median of 5 (range): verify --identity chain_C --order
-# 2000 2.7 s (2.6-2.8 s); a count at --n 1000 by dynamic program or series
-# coefficient 0.11-0.14 s, at most 0.17 s, of which start-up (a count at --n 1)
-# is 0.07 s; enumerate --class D --n 100 --cutoff 100, 818,348 partitions,
-# 13.2 s (11.9-13.5 s) and 153 MB, and the same count by enumeration 3.8 s
-# (3.6-4.2 s) and 15 MB.  Doubling --order or --n costs about 4x (O(N^2));
-# --cutoff 120 would cost about 5x.
+# split makes 2^k parts of one part 2^k).  Worst cases from tools/worst_case.py
+# on a 2-vCPU Xeon, Python 3.11.7, fresh interpreters, median of 3 [range] and
+# peak RSS: the slowest, enumerate --class D --n 100 --cutoff 100 (818,348
+# partitions), 8.8 s [8.7-8.9] and 153 MB; that count by enumeration 3.2 s
+# [3.0-3.6] and 15 MB; verify --identity chain_C --order 2000 1.6 s [1.5-1.7]
+# and 16 MB; a count at --n 1000 by dynamic program or series coefficient
+# 0.07-0.10 s and 15 MB, start-up (--n 1) 0.06 s; selftest 0.7 s and 18 MB.
+# Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120 about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000
 MAX_CUTOFF = 100

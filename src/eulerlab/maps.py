@@ -156,9 +156,7 @@ def b_to_c(p: Partition) -> Partition:
     out = [target_max]
     for base, run in groupby(p.parts[1:]):
         mult = len(list(run))
-        k = 0
-        while base << (k + 1) <= target_max:
-            k += 1
+        k = (target_max // base).bit_length() - 1
         copies, rest = divmod(mult, 1 << k)
         out.extend([base << k] * copies)
         _merge_binary(out, base, rest)

@@ -9,7 +9,7 @@ twice and everything else is distinct).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -363,6 +363,24 @@ def _unit(order: int) -> list[int]:
     return [1] + [0] * order
 
 
+# Every coefficient table built for the life of the process, by key: a count
+# table by dynamic program under (method, class), and each series of
+# series.py under its class, C form, chain stage or ("euler_lhs", sign).
+# Coefficient n depends only on exponents up to n, so each key holds the
+# longest table built so far and serves a lower n as its prefix.  The
+# builders stay uncached, so a rebound one is seen whenever its table is cold.
+_held: dict[object, tuple[int, ...]] = {}
+
+
+def _held_prefix(key: object, n: int, build: Callable[[int], Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients 0..n of the table held under key; build(n) runs only when
+    the held table is shorter, and its table replaces the held one."""
+    held = _held.get(key, ())
+    if len(held) <= n:
+        held = _held[key] = tuple(build(n))
+    return held[: n + 1]
+
+
 def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     """Counting table values[0..n_max] for one class, by dynamic program."""
     if cls is PartitionClass.A:
@@ -401,12 +419,6 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     raise TypeError(f"not a partition class: {cls!r}")
 
 
-# Per class, the longest dynamic-program table built so far; count n does not
-# depend on n_max, so a shorter table is its prefix.  _dp_counts stays the
-# uncached builder, so a rebound one is seen whenever the table is cold.
-_dp_held: dict[PartitionClass, tuple[int, ...]] = {}
-
-
 def count_table(
     cls: PartitionClass,
     n_max: int,
@@ -416,34 +428,25 @@ def count_table(
     """Counts of the class for n = 0..n_max, in one pass.
 
     All three methods agree everywhere, including the convention values
-    C(0)=1, C(1)=0, D(0)=1, D(1)=1.  The dynamic-program tables, held here,
-    and the series, held by gf_class, are kept for the life of the process,
-    one per class and method: a call builds only above the highest n_max
-    held, and a lower n_max is served as a prefix.  count_table.cache_clear()
-    empties the dynamic-program tables.
+    C(0)=1, C(1)=0, D(0)=1, D(1)=1.  The dynamic-program tables and the
+    series that gf_class reads are held in _held, one per class and method.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if method == METHOD_DYNAMIC_PROGRAM:
-        if (held := _dp_held.get(cls)) is None or len(held) <= n_max:
-            held = _dp_held[cls] = tuple(_dp_counts(cls, n_max))
-        values = held[: n_max + 1]
-    elif method == METHOD_ENUMERATION:
-        if n_max > cutoff:  # refuse before listing the weights up to the cutoff
-            raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
-        values = [sum(1 for _ in _GENERATORS[cls](n)) for n in range(n_max + 1)]
-        if cls is PartitionClass.C:
-            values[0] = 1  # counting-layer convention; the predicate excludes the empty partition
-    elif method == METHOD_SERIES_COEFFICIENT:
+        return _held_prefix((method, cls), n_max, lambda n: _dp_counts(cls, n))
+    if method == METHOD_SERIES_COEFFICIENT:
         from .series import gf_class  # deferred; series builds on this module
 
-        values = gf_class(cls, n_max).coeffs
-    else:
+        return gf_class(cls, n_max).coeffs
+    if method != METHOD_ENUMERATION:
         raise ValueError(f"unknown counting method: {method!r}")
+    if n_max > cutoff:  # refuse before listing the weights up to the cutoff
+        raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
+    values = [sum(1 for _ in _GENERATORS[cls](n)) for n in range(n_max + 1)]
+    if cls is PartitionClass.C:
+        values[0] = 1  # counting-layer convention; the predicate excludes the empty partition
     return tuple(values)
-
-
-count_table.cache_clear = _dp_held.clear
 
 
 def render_class_d(p: Partition) -> str:

@@ -17,6 +17,7 @@ from .partitions import (
     _div_factor,
     _div_pentagonal,
     _div_poch_inf,
+    _held_prefix,
     _Immutable,
     _mul_factor,
     _mul_pentagonal,
@@ -47,10 +48,12 @@ class TruncatedSeries(_Immutable):
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be non-negative")
-        padded = list(coeffs[: order + 1])
-        padded.extend([0] * (order + 1 - len(padded)))
+        # an exact-length tuple, such as a held table, is taken as it is
+        coeffs = tuple(coeffs[: order + 1])
+        if len(coeffs) <= order:
+            coeffs += (0,) * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(padded))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -216,21 +219,15 @@ class VerificationReport(NamedTuple):
         )
 
 
-# One table holds, per class, C form, chain stage or Euler base, the
-# highest-order series built so far, and serves a lower order as its prefix:
-# coefficient n depends only on exponents up to n.  gf(C) is the form
-# sum_over_largest, so the two names share one entry.  Rebinding a public name
-# (a tracer, a seeded fault) wraps that name alone, so every call to it is
-# still seen; but a composite cached earlier, such as the final stage's gf(D),
-# keeps its value.
-_held: dict[object, TruncatedSeries] = {}
-
-
+# Each class, C form, chain stage and Euler base is held in the kernel's one
+# store, partitions._held, which serves a lower order as a prefix.  gf(C) is
+# the form sum_over_largest, so the two names share one entry.  Rebinding a
+# public name (a tracer, a seeded fault) wraps that name alone, so every call
+# to it is still seen; but a composite cached earlier, such as the final
+# stage's gf(D), keeps its value.
 def _cached(key: object, order: int, build: Callable[[int], Sequence[int]]) -> TruncatedSeries:
     """The series held under key, at order; build(order) runs only above the held order."""
-    if (s := _held.get(key)) is None or s.order < order:
-        s = _held[key] = TruncatedSeries(build(order), order)
-    return s if s.order == order else TruncatedSeries(s.coeffs[: order + 1], order)
+    return TruncatedSeries(_held_prefix(key, order, build), order)
 
 
 def _c_form(form: str, order: int) -> TruncatedSeries:
@@ -351,15 +348,12 @@ def gf_c_chain_stage(stage: str, order: int) -> TruncatedSeries:
     return _cached(stage, order, _CHAIN_STAGE_BUILDERS[stage])
 
 
-gf_class.cache_clear = gf_c_variant.cache_clear = gf_c_chain_stage.cache_clear = _held.clear
-
-
 def _euler_lhs(c: int, sign: int, order: int) -> list[int]:
     # 1/(t;q)_inf at t = sign*q^c: the held 1/(sign*q;q)_inf times the factors
     # (1 - sign*q^e) for e in 1..c-1, of which those past q^order change
     # nothing.  The caller gets a list of its own.
-    base = _cached(("euler_lhs", sign), order, lambda n: _div_poch_inf(_unit(n), sign, 1, 1))
-    lhs = list(base.coeffs)
+    base = _held_prefix(("euler_lhs", sign), order, lambda n: _div_poch_inf(_unit(n), sign, 1, 1))
+    lhs = list(base)
     for e in range(1, min(c, order + 1)):
         _mul_factor(lhs, sign, e)
     return lhs

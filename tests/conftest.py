@@ -1,23 +1,19 @@
 import pytest
 
-from eulerlab import partitions, series
-
-CACHED_BUILDERS = (series.gf_class, series.gf_c_variant, series.gf_c_chain_stage)
+from eulerlab import partitions
 
 
 @pytest.fixture(autouse=True)
 def fresh_series_cache():
-    """Start every test with empty builder caches and count tables.
+    """Start every test with the held tables empty.
 
-    A series cached by an earlier test would hide a fault a later test seeds
-    (the final chain stage holds a built gf(D)), and a warm entry, which
-    serves its own order and every lower one, would let a test of the build
-    route pass without building anything.  The dynamic-program count tables
-    are held the same way, so a warm one would hide a rebound _dp_counts and
-    serve a count without entering the dynamic program.  The same clear
-    empties the bases 1/(q;q)_inf and 1/(-q;q)_inf that _euler_lhs holds,
-    so a test's first left side of each sign builds its base cold.
+    partitions._held keeps, for the life of the process, every series the
+    builders make and every count table by dynamic program, and serves a
+    lower order as a prefix of the longest one held.  A series held by an
+    earlier test would hide a fault a later test seeds (the final chain stage
+    holds a built gf(D)), and a warm entry would let a test of a build route
+    pass without building anything: a warm count table hides a rebound
+    _dp_counts, and a warm Euler base 1/(q;q)_inf or 1/(-q;q)_inf lets a
+    test's first left side skip its cold build.
     """
-    for builder in CACHED_BUILDERS:
-        builder.cache_clear()
-    partitions.count_table.cache_clear()
+    partitions._held.clear()

@@ -7,17 +7,24 @@ benchmark run.  The pass checks its inner results (listings, series, map
 images) against perfbench/reference.json, so a changed inner result fails
 here too; a seeded fault shows that this check is not vacuous.  One
 series_verify pass and one cli_mix pass, as the benchmark sends them, must
-also give every output digest recorded in the reference.  The passes read
-the tree and write nothing.
+also give every output digest recorded in the reference.  The plain count
+requests of that cli_mix pass are also replayed in-process, where one byte
+changed in each count line must change every one of their digests.  The
+passes read the tree and write nothing.
 """
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
+
+from eulerlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,3 +117,40 @@ def test_byte_check_sees_a_wrong_gf_c_coefficient():
     # alone shows it; the cli_mix pass would add 0.8 s.
     wrong, inner = _replay_benchmark_passes(("series_verify",), fault="gf_class")
     assert wrong and inner
+
+
+def _plain_count_digests() -> list[tuple[str, str]]:
+    """(digest, reference digest) of each plain count request that a count
+    pool drew for the first cli_mix pass at seed 4, sent in-process through
+    cli.main and hashed as perfbench/worker.py hashes a cli request."""
+    workloads = _import_workloads()
+    reference = workloads.load_reference()
+    pools = [pool for category, pool in reference["pools"].items() if category.startswith("count_")]
+    counts = [argv for pool in pools for argv in pool if "plain" in argv]
+    digests = []
+    for request in workloads.pass_requests("cli_mix", 4, 0, reference):
+        if request[1] not in counts:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(request[1]))
+        text = f"exit={code}\n{out.getvalue()}"
+        got = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        digests.append((got, reference["digests"][workloads.request_key(request)]))
+    return digests
+
+
+def test_byte_check_sees_one_changed_byte_in_a_plain_count_line(monkeypatch):
+    # Every plain count request gives the reference bytes; with a tab in
+    # place of the first space of each count line, not one of them does.
+    digests = _plain_count_digests()
+    assert len(digests) == 80
+    assert all(got == want for got, want in digests)
+    original = cli.record_to_plain
+
+    def tabbed(record):
+        line = original(record)
+        return line.replace(" ", "\t", 1) if record["type"] == "count" else line
+
+    monkeypatch.setattr(cli, "record_to_plain", tabbed)
+    assert not any(got == want for got, want in _plain_count_digests())

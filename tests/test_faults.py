@@ -135,17 +135,17 @@ def test_euler_lhs_multiply_up_fault_is_reported(monkeypatch):
     for c in (1, 2):
         assert series.euler_expansion_check(c, ORDER).passed, c
     _assert_caught(series.euler_expansion_check(3, ORDER), 2, "t=q^c", gap=2)
-    assert all(isinstance(s, TruncatedSeries) for s in series._held.values())
+    assert all(type(t) is tuple for t in partitions._held.values())
 
 
 # The held bases serve every c, and a lower order as a prefix, so after all
-# orders up to 99 each sign holds one series, at order 99.
+# orders up to 99 each sign holds one table, to order 99.
 def test_held_euler_bases_reach_the_highest_order():
     for order in range(100):
         for c in range(1, 7):
             assert series.euler_expansion_check(c, order).passed, (c, order)
-    assert all(isinstance(s, TruncatedSeries) for s in series._held.values())
-    assert [series._held[("euler_lhs", sign)].order for sign in (1, -1)] == [99, 99]
+    assert all(type(t) is tuple for t in partitions._held.values())
+    assert [len(partitions._held[("euler_lhs", sign)]) - 1 for sign in (1, -1)] == [99, 99]
 
 
 # The lowest comparison of thm_all, at n = 1, reads D(2); the next reads D(3).

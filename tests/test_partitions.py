@@ -377,7 +377,7 @@ def test_dp_table_is_held_and_served_as_prefix(monkeypatch, cls):
     assert built == [(cls, 120)]
     assert count_table(cls, 121) == cold[121]
     assert built == [(cls, 120), (cls, 121)]
-    assert partitions._dp_held == {cls: cold[121]}
+    assert partitions._held == {("dynamic-program", cls): cold[121]}
     # the conventions C(0)=1, D(0)=D(1)=1 and the bound check on the warm table
     assert count_table(cls, 0) == (1,)
     assert count_table(cls, 1) == ((1, 0) if cls is C else (1, 1))
@@ -390,12 +390,14 @@ def test_dp_tables_are_one_per_class():
     for n_max in (5, 40, 12, 60, 0):
         for cls in PartitionClass:
             count_table(cls, n_max)
-    assert {cls: len(t) for cls, t in partitions._dp_held.items()} == dict.fromkeys(
-        PartitionClass, 61
-    )
-    assert all(type(t) is tuple for t in partitions._dp_held.values())
-    count_table.cache_clear()
-    assert partitions._dp_held == {}
+    keys = [("dynamic-program", cls) for cls in PartitionClass]
+    assert {key: len(t) for key, t in partitions._held.items()} == dict.fromkeys(keys, 61)
+    assert all(type(t) is tuple for t in partitions._held.values())
+    # the series share the store, and one clear empties tables and series alike
+    count_table(C, 30, "series-coefficient")
+    assert set(partitions._held) == {*keys, "sum_over_largest"}
+    partitions._held.clear()
+    assert partitions._held == {}
 
 
 def test_count_d_range_from_reduction_identity():

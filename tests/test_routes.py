@@ -67,7 +67,14 @@ ROUTES = {
 }
 
 NEUTRAL = {
-    partitions: ("normalize", "parse_partition", "is_in_class", "count_table", "render_class_d"),
+    partitions: (
+        "normalize",
+        "parse_partition",
+        "is_in_class",
+        "_held_prefix",
+        "count_table",
+        "render_class_d",
+    ),
     series: (
         "_first_failure",
         "_euler_checks",
@@ -240,8 +247,7 @@ FACTOR_BY_FACTOR = (
 
 def sparse_calls(run, *args) -> Counter:
     """Calls to the sparse primitives that run(*args) makes from empty caches."""
-    series.gf_class.cache_clear()
-    partitions.count_table.cache_clear()
+    partitions._held.clear()
     _, _, calls = trace_routes(run, *args)
     return Counter({name: calls[name] for name in SPARSE if calls[name]})
 

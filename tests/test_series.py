@@ -1,4 +1,3 @@
-import gc
 import inspect
 import os
 import re
@@ -434,8 +433,6 @@ def test_report_summary_mentions_failure_point():
 
 # ------------------------------------------------------------ builder cache
 
-CACHED_BUILDERS = (gf_class, gf_c_variant, gf_c_chain_stage)
-
 # (builder, first argument, oracle builder) for every cached series of an order
 BUILDS = (
     [(gf_class, cls, oracle.slow_gf_class) for cls in PartitionClass]
@@ -456,8 +453,7 @@ BUILD_STEPS = (
 
 
 def _clear_caches() -> None:
-    for builder in CACHED_BUILDERS:
-        builder.cache_clear()
+    partitions._held.clear()
 
 
 @pytest.fixture
@@ -475,11 +471,6 @@ def build_steps(monkeypatch):
     for name in BUILD_STEPS:
         monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
     return calls
-
-
-def _held_series() -> list[TruncatedSeries]:
-    gc.collect()
-    return [obj for obj in gc.get_objects() if type(obj) is TruncatedSeries]
 
 
 def test_identities_build_each_series_once(build_steps):
@@ -523,7 +514,7 @@ def test_higher_order_rebuilds(build_steps):
         high = builder(arg, 30)
         assert build_steps, arg
         assert high.coeffs == slow(arg, 30).coeffs, arg
-        assert builder(arg, 30) is high and builder(arg, 20) == low, arg
+        assert builder(arg, 30).coeffs is high.coeffs and builder(arg, 20) == low, arg
 
 
 def test_served_prefixes_equal_cold_builds(build_steps):
@@ -556,7 +547,7 @@ def test_served_prefixes_equal_cold_builds(build_steps):
 @pytest.mark.parametrize("first", ["class", "form"])
 def test_gf_c_and_its_first_form_share_one_build(build_steps, first):
     # gf(C) is the form sum_over_largest: whichever is asked first builds it,
-    # and the other is served the same series without a build step.
+    # and the other is served the same coefficients without a build step.
     calls = {
         "class": lambda: gf_class(C, 40),
         "form": lambda: gf_c_variant("sum_over_largest", 40),
@@ -564,7 +555,7 @@ def test_gf_c_and_its_first_form_share_one_build(build_steps, first):
     built = calls[first]()
     build_steps.clear()
     other = calls["form" if first == "class" else "class"]()
-    assert other is built
+    assert other.coeffs is built.coeffs
     assert not build_steps
 
 
@@ -621,7 +612,7 @@ def test_fault_is_seen_through_a_warm_cache(monkeypatch):
     warm = gf_class(C, 30)
     served = _fault_at_q17_of_gf_c(monkeypatch)
     report = verify_identity("chain_C", 30)
-    assert served == [warm] and served[0] is warm
+    assert served == [warm] and served[0].coeffs is warm.coeffs
     assert not report.passed
     assert (report.exponent, report.context) == (17, "form=sum_over_largest")
 
@@ -633,25 +624,23 @@ def test_fault_is_seen_through_a_higher_order_warm_cache(monkeypatch):
     served = _fault_at_q17_of_gf_c(monkeypatch)
     report = verify_identity("chain_C", 30)
     assert served == [TruncatedSeries(warm.coeffs, 30)]
-    assert gf_class(C, 60) is warm
+    assert gf_class(C, 60).coeffs is warm.coeffs
     assert not report.passed
     assert (report.exponent, report.context) == (17, "form=sum_over_largest")
 
 
 def test_cache_stays_bounded(build_steps):
-    # Orders 0..99 of every builder leave one series per first argument, the
-    # one at order 99, with gf(C) and the form sum_over_largest sharing one:
-    # 11 series in all.
-    before = {id(s) for s in _held_series()}
+    # Orders 0..99 of every builder leave one table per first argument, the
+    # one to order 99, with gf(C) and the form sum_over_largest sharing one:
+    # 11 tables in all.
     for order in range(100):
         for builder, arg, _ in BUILDS:
             builder(arg, order)
-    held = [s for s in _held_series() if id(s) not in before]
-    assert len(held) == len(BUILDS) - 1 == 11
-    assert {s.order for s in held} == {99}
+    assert len(partitions._held) == len(BUILDS) - 1 == 11
+    assert {len(t) - 1 for t in partitions._held.values()} == {99}
     build_steps.clear()
     for builder, arg, _ in BUILDS:
-        assert builder(arg, 99) is builder(arg, 99), arg
+        assert builder(arg, 99).coeffs is builder(arg, 99).coeffs, arg
     assert not build_steps
 
 
