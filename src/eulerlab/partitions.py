@@ -251,6 +251,8 @@ def enumerate_class(
     """
     if n < 0:
         raise ValueError("weight must be non-negative")
+    if cls not in _GENERATORS:
+        raise TypeError(f"not a partition class: {cls!r}")
     if n > cutoff:
         raise CapacityError(f"weight {n} exceeds enumeration cutoff {cutoff}")
     tuples = sorted(_GENERATORS[cls](n), reverse=True)
@@ -441,6 +443,8 @@ def count_table(
         return gf_class(cls, n_max).coeffs
     if method != METHOD_ENUMERATION:
         raise ValueError(f"unknown counting method: {method!r}")
+    if cls not in _GENERATORS:
+        raise TypeError(f"not a partition class: {cls!r}")
     if n_max > cutoff:  # refuse before listing the weights up to the cutoff
         raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
     values = [sum(1 for _ in _GENERATORS[cls](n)) for n in range(n_max + 1)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from eulerlab import acceptance, partitions
 from eulerlab.partitions import (
+    COUNT_METHODS,
     CapacityError,
     ClassMembershipError,
     Partition,
@@ -274,6 +275,24 @@ def test_count_conventions():
 def test_count_unknown_method():
     with pytest.raises(ValueError):
         count_table(A, 5, "guesswork")
+
+
+# The enumeration route rejects a non-class as the other routes do.
+@pytest.mark.parametrize(
+    "route,args",
+    [
+        (enumerate_class, (5, "A")),
+        *((count_table, ("A", 5, method)) for method in COUNT_METHODS),
+        (gf_class, ("A", 5)),
+        (is_in_class, (P(3, 1), "A")),
+    ],
+    ids=["enumerate_class", *(f"count_table-{m}" for m in COUNT_METHODS)]
+    + ["gf_class", "is_in_class"],
+)
+def test_every_route_rejects_a_non_class(route, args):
+    with pytest.raises(TypeError) as excinfo:
+        route(*args)
+    assert str(excinfo.value) == "not a partition class: 'A'"
 
 
 def test_count_enumeration_respects_cutoff():

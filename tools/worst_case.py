@@ -3,12 +3,14 @@
 Run from anywhere as
     python3 tools/worst_case.py
 
-The cases are the bound cases named in the MAX_* comment of
-src/eulerlab/cli.py, plus selftest: a count at --n 1 (start-up), a count at
---n MAX_N by dynamic program and by series coefficient for every class, a
-count and a listing of class D at --n MAX_CUTOFF, and verify chain_C at
---order MAX_ORDER.  Each case runs RUNS times, each run in a new
-interpreter with eulerlab from ./src, its stdout sent to /dev/null, under
+The cases are every CLI input at its bound, plus selftest: a count at --n 1
+(start-up); a count at --n MAX_N by dynamic program and by series coefficient
+for every class; a count of class D by enumeration and a listing of every
+class, at --n MAX_CUTOFF; series for every class, C form and chain stage and
+verify for every identity, at --order MAX_ORDER; and map at weight MAX_N,
+where Glaisher's split makes the most parts (512+256+128+64+32+8 into MAX_N
+ones, and those ones merged back).  Each case runs RUNS times, each run in a
+new interpreter with eulerlab from ./src, its stdout sent to /dev/null, under
 RLIMIT_AS and RLIMIT_CPU set in preexec_fn, so the caps act on that child
 alone.  For each case the script prints the median wall time of the runs
 with their range, and the largest VmHWM (peak resident set) that a child
@@ -30,10 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.dont_write_bytecode = True
 from eulerlab.cli import MAX_CUTOFF, MAX_N, MAX_ORDER  # noqa: E402
+from eulerlab.series import C_FORMS, CHAIN_STAGES, IDENTITY_NAMES  # noqa: E402
 
 RUNS = 3
 ADDRESS_SPACE_BYTES = 2 << 30
 CPU_SECONDS = 120
+ONES = "+".join(["1"] * MAX_N)
 
 CASES = [
     ["count", "--class", "A", "--n", "1"],
@@ -44,8 +48,18 @@ CASES = [
     ),
     ["count", "--class", "D", "--n", str(MAX_CUTOFF), "--method", "enumeration"]
     + ["--cutoff", str(MAX_CUTOFF)],
-    ["enumerate", "--class", "D", "--n", str(MAX_CUTOFF), "--cutoff", str(MAX_CUTOFF)],
-    ["verify", "--identity", "chain_C", "--order", str(MAX_ORDER)],
+    *(
+        ["enumerate", "--class", cls, "--n", str(MAX_CUTOFF), "--cutoff", str(MAX_CUTOFF)]
+        for cls in "ABCD"
+    ),
+    *(
+        ["series", flag, name, "--order", str(MAX_ORDER)]
+        for flag, names in (("--class", "ABCD"), ("--form", C_FORMS), ("--stage", CHAIN_STAGES))
+        for name in names
+    ),
+    *(["verify", "--identity", name, "--order", str(MAX_ORDER)] for name in IDENTITY_NAMES),
+    ["map", "--bijection", "glaisher", "512+256+128+64+32+8"],
+    ["map", "--bijection", "glaisher-inv", ONES],
     ["selftest"],
 ]
 
@@ -90,7 +104,7 @@ def main() -> int:
     print(f"{'case':<64} {'median s':>9} {'range s':>13} {'VmHWM MB':>9}")
     medians, failed = {}, False
     for argv in CASES:
-        name = " ".join(argv)
+        name = " ".join(argv).replace(ONES, f"1+...+1 ({MAX_N} ones)")
         runs = [run_once(argv) for _ in range(RUNS)]
         walls = [wall for wall, _, _ in runs]
         medians[name] = statistics.median(walls)
