@@ -17,6 +17,10 @@ from .partitions import (
     COUNT_METHODS,
     METHOD_DYNAMIC_PROGRAM,
     METHOD_ENUMERATION,
+    A,
+    B,
+    C,
+    D,
     PartitionClass,
     count_table,
     enumerate_class,
@@ -30,11 +34,6 @@ from .series import (
     gf_c_variant,
     verify_identity,
 )
-
-A = PartitionClass.A
-B = PartitionClass.B
-C = PartitionClass.C
-D = PartitionClass.D
 
 GOLDEN_A6 = {"6", "5+1", "4+2", "3+2+1"}
 GOLDEN_B6 = {"5+1", "3+3", "3+1+1+1", "1+1+1+1+1+1"}

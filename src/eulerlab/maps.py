@@ -12,12 +12,21 @@ from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .partitions import (
-    ClassMembershipError,
-    Partition,
-    PartitionClass,
-    is_in_class,
-)
+from .partitions import A, B, C, D, ClassMembershipError, Partition, is_in_class
+
+
+def _split_to_odd(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Glaisher's split of parts in any order: each part 2**k * a, a odd,
+    becomes 2**k copies of a; the result is non-increasing."""
+    out: list[int] = []
+    for part in parts:
+        if part & 1:
+            out.append(part)
+        else:
+            power = (part & -part).bit_length() - 1
+            out += [part >> power] * (1 << power)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def glaisher_to_odd(p: Partition) -> Partition:
@@ -26,12 +35,7 @@ def glaisher_to_odd(p: Partition) -> Partition:
     Accepts any partition; odd parts pass through untouched, so repeated odd
     parts in the input are fine.
     """
-    out: list[int] = []
-    for part in p.parts:
-        power = (part & -part).bit_length() - 1
-        out += [part >> power] * (1 << power)
-    out.sort(reverse=True)
-    return Partition(tuple(out))
+    return Partition(_split_to_odd(p.parts))
 
 
 def glaisher_to_distinct(p: Partition) -> Partition:
@@ -81,11 +85,19 @@ class ReductionTag(NamedTuple):
     @property
     def bit(self) -> int:
         """Lift-branch selector: 1 exactly when the smallest part was 1."""
-        return 1 if self.case is ReductionCase.SMALLEST_EQUALS_ONE else 0
+        return 1 if self.case is _SMALLEST_EQUALS_ONE else 0
 
     @property
     def case_number(self) -> int:
         return _CASE_NUMBER[self.case]
+
+
+# Each read of an enum member goes through a descriptor, so d_reduce returns
+# one of these three tags, built once, and bit compares with a module name.
+_SMALLEST_EQUALS_ONE = ReductionCase.SMALLEST_EQUALS_ONE
+_SINGLE_PART_TAG = ReductionTag(ReductionCase.SINGLE_PART)
+_ABOVE_ONE_TAG = ReductionTag(ReductionCase.SMALLEST_ABOVE_ONE)
+_EQUALS_ONE_TAG = ReductionTag(_SMALLEST_EQUALS_ONE)
 
 
 def d_reduce(p: Partition) -> tuple[Partition, ReductionTag]:
@@ -94,19 +106,16 @@ def d_reduce(p: Partition) -> tuple[Partition, ReductionTag]:
     The result has distinct parts and weight one less; the tag records which
     of the three shapes applied, and its bit selects the inverse branch.
     """
-    if not is_in_class(p, PartitionClass.D):
+    if not is_in_class(p, D):
         raise ClassMembershipError(f"{p} is not in class D")
     if p.weight < 2:
         raise ValueError("reduction needs weight at least 2")
-    smallest = p.parts[-1]
-    if len(p.parts) == 1:
-        case = ReductionCase.SINGLE_PART
-    elif smallest > 1:
-        case = ReductionCase.SMALLEST_ABOVE_ONE
-    else:
-        case = ReductionCase.SMALLEST_EQUALS_ONE
-    reduced = p.parts[:-1] + ((smallest - 1,) if smallest > 1 else ())
-    return Partition(reduced), ReductionTag(case)
+    parts = p.parts
+    smallest = parts[-1]
+    if smallest == 1:
+        return Partition(parts[:-1]), _EQUALS_ONE_TAG
+    tag = _SINGLE_PART_TAG if len(parts) == 1 else _ABOVE_ONE_TAG
+    return Partition(parts[:-1] + (smallest - 1,)), tag
 
 
 def d_lift(mu: Partition, bit: int) -> Partition:
@@ -119,7 +128,7 @@ def d_lift(mu: Partition, bit: int) -> Partition:
         raise ValueError("bit must be 0 or 1")
     if not mu.parts:
         raise ClassMembershipError("cannot lift the empty partition")
-    if not is_in_class(mu, PartitionClass.A):
+    if not is_in_class(mu, A):
         raise ClassMembershipError(f"{mu} does not have distinct parts")
     if bit == 1:
         return Partition(mu.parts + (1,))
@@ -132,11 +141,9 @@ def c_to_b(p: Partition) -> Partition:
     One copy of the even largest part 2N becomes 2N-1, then every remaining
     even part is split down to odd parts; the image's largest part is 2N-1.
     """
-    if not is_in_class(p, PartitionClass.C):
+    if not is_in_class(p, C):
         raise ClassMembershipError(f"{p} is not in class C")
-    largest = p.parts[0]
-    k = p.parts.count(largest)  # the copies of 2N lead, so the last one becomes 2N-1
-    return glaisher_to_odd(Partition(p.parts[1:k] + (largest - 1,) + p.parts[k:]))
+    return Partition(_split_to_odd(p.parts[1:] + (p.parts[0] - 1,)))
 
 
 def b_to_c(p: Partition) -> Partition:
@@ -150,7 +157,7 @@ def b_to_c(p: Partition) -> Partition:
     """
     if not p.parts:
         raise ClassMembershipError("the empty partition has no largest part to restore")
-    if not is_in_class(p, PartitionClass.B):
+    if not is_in_class(p, B):
         raise ClassMembershipError(f"{p} is not in class B")
     target_max = p.parts[0] + 1
     out = [target_max]

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
+from operator import and_, gt
 
 DEFAULT_ENUMERATION_CUTOFF = 60
 
@@ -94,6 +95,14 @@ class PartitionClass(Enum):
     D = "D"
 
 
+# Each read of an enum member goes through a descriptor, so the hot paths
+# read the members through these module names.
+A = PartitionClass.A
+B = PartitionClass.B
+C = PartitionClass.C
+D = PartitionClass.D
+
+
 def normalize(raw_parts: Iterable[int]) -> Partition:
     """Drop zero parts and sort the rest non-increasing.
 
@@ -137,22 +146,23 @@ def is_in_class(p: Partition, cls: PartitionClass) -> bool:
     rendering); it is not in C, where the count C(0)=1 is a convention of
     the counting layer, not of this predicate.
     """
-    if cls is PartitionClass.A:
-        return len(set(p.parts)) == len(p.parts)
-    if cls is PartitionClass.B:
-        return all(part % 2 == 1 for part in p.parts)
-    if cls is PartitionClass.C:
-        if not p.parts:
+    parts = p.parts
+    if cls is A:
+        return len(set(parts)) == len(parts)
+    if cls is B:
+        return all(map(and_, parts, repeat(1)))  # every part & 1 is 1
+    if cls is C:
+        if not parts:
             return False
-        largest = p.parts[0]
+        largest = parts[0]
         if largest % 2 == 1:
             return False
         half = largest // 2
-        small = [part for part in p.parts if part <= half]
+        small = [part for part in parts if part <= half]
         return len(set(small)) == len(small)
-    if cls is PartitionClass.D:
+    if cls is D:
         # parts are non-increasing, so only the last two may be equal
-        return all(a > b for a, b in zip(p.parts, p.parts[1:-1]))
+        return all(map(gt, parts, parts[1:-1]))
     raise TypeError(f"not a partition class: {cls!r}")
 
 
@@ -184,7 +194,7 @@ def _gen(
     if cap is None:
         cap = n
     if floor <= n <= cap and (n - floor) % step == 0:
-        yield (*head, n, *tail)
+        yield head + (n,) + tail
     stack = [(floor, n, tail)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -205,7 +215,7 @@ def _gen(
                 nx = x
             if y <= cap:
                 if pairs:
-                    yield (*head, y, x, *rest)
+                    yield head + (y, x) + rest
             elif nx * ((y - 1) // cap + 1) > y:
                 # y needs ceil(y/cap) parts >= nx, too many to fit, and does
                 # until y drops to the next multiple of cap below it
@@ -213,7 +223,7 @@ def _gen(
                 x += (floor - x) % step
                 continue
             if y >= nx + (nx + step if nx <= half else nx):
-                push((nx, y, (x, *rest)))
+                push((nx, y, (x,) + rest))
             x += step
 
 
@@ -234,10 +244,10 @@ def _gen_class_d(n: int) -> Iterator[tuple[int, ...]]:
 
 
 _GENERATORS = {
-    PartitionClass.A: _gen,
-    PartitionClass.B: partial(_gen, half=0, step=2),
-    PartitionClass.C: _gen_class_c,
-    PartitionClass.D: _gen_class_d,
+    A: _gen,
+    B: partial(_gen, half=0, step=2),
+    C: _gen_class_c,
+    D: _gen_class_d,
 }
 
 
@@ -385,11 +395,11 @@ def _held_prefix(key: object, n: int, build: Callable[[int], Sequence[int]]) -> 
 
 def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
     """Counting table values[0..n_max] for one class, by dynamic program."""
-    if cls is PartitionClass.A:
+    if cls is A:
         return _mul_poch_inf(_unit(n_max), -1, 1, 1)
-    if cls is PartitionClass.B:
+    if cls is B:
         return _div_poch_inf(_unit(n_max), +1, 1, 2)
-    if cls is PartitionClass.C:
+    if cls is C:
         # Condition on the largest part 2N: one copy of 2N is placed, parts in
         # (N, 2N] repeat freely, parts <= N are used at most once.  dp counts
         # the rest, prod_{k<=N} (1+q^k) / prod_{N<k<=2N} (1-q^k), and is
@@ -407,7 +417,7 @@ def _dp_counts(cls: PartitionClass, n_max: int) -> list[int]:
             _div_factor(dp, 1, 2 * half)
             _add_into(out, dp, 2 * half)
         return out
-    if cls is PartitionClass.D:
+    if cls is D:
         # Condition on the doubled smallest part s: the other parts are
         # distinct and above s, T_s = prod_{k>s} (1+q^k), and T_0 (no doubled
         # part) is class A.  Two distinct parts above n_max // 2 exceed n_max.
@@ -448,7 +458,7 @@ def count_table(
     if n_max > cutoff:  # refuse before listing the weights up to the cutoff
         raise CapacityError(f"weight {cutoff + 1} exceeds enumeration cutoff {cutoff}")
     values = [sum(1 for _ in _GENERATORS[cls](n)) for n in range(n_max + 1)]
-    if cls is PartitionClass.C:
+    if cls is C:
         values[0] = 1  # counting-layer convention; the predicate excludes the empty partition
     return tuple(values)
 
@@ -460,7 +470,7 @@ def render_class_d(p: Partition) -> str:
     parts in decreasing order; a doubled smallest part is rendered ascending,
     so the repeated pair comes first.
     """
-    if not is_in_class(p, PartitionClass.D):
+    if not is_in_class(p, D):
         raise ClassMembershipError(f"{p} is not in class D")
     if not p.parts:
         return "0+0"

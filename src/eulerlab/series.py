@@ -165,20 +165,22 @@ def _sum_by_ratio(
     R_k is the product of the factors of `ratio` at k, and scale is +1 or -1.
     U_n is 1, or term(n, mo), the coefficients of U_n to relative order
     mo = order - gap*n.  Folded by Horner's rule from the top n down:
-    H_n = U_n + scale*q^gap*R_(n+1)*H_(n+1), and the sum is H_0.
+    H_n = U_n + scale*q^gap*R_(n+1)*H_(n+1), and the sum is H_0.  The fold
+    carries g_n = scale^n H_n = scale^n U_n + q^gap*R_(n+1)*g_(n+1), so at
+    scale -1 it negates U_n at odd n, never the partial sum, and g_0 = H_0.
     """
     factors = [(_mul_factor if p == 1 else _div_factor, sign, a, b) for sign, a, b, p in ratio]
     h: list[int] = []
     for n in range(order // gap, -1, -1):
         for apply, sign, a, b in factors:
             apply(h, sign, a * (n + 1) + b)
-        if scale == -1:
-            h = [-x for x in h]
         h[:0] = [0] * min(gap, order - gap * n + 1)
+        sn = scale**n
         if term is None:
-            h[0] += 1
+            h[0] += sn
         else:
-            _add_into(h, term(n, len(h) - 1))
+            u = term(n, len(h) - 1)
+            _add_into(h, u if sn == 1 else [-x for x in u])
     return h
 
 

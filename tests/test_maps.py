@@ -195,6 +195,15 @@ def test_b_to_c_examples(before, after):
     assert b_to_c(P(*before)).parts == after
 
 
+def test_c_to_b_matches_the_definition():
+    # One copy of the largest part 2N lowered to 2N-1, then Glaisher's split,
+    # here by the oracle's repeated halving.
+    for n in range(2, 31):
+        for p in enumerate_class(n, C):
+            lowered = (p.parts[0] - 1,) + p.parts[1:]
+            assert c_to_b(p).parts == oracle.split_to_odd(lowered), p
+
+
 def test_c_to_b_errors():
     with pytest.raises(ClassMembershipError):
         c_to_b(P(3, 3))  # largest part odd

@@ -113,6 +113,25 @@ def test_membership_agrees_with_oracle(n, cls):
     assert ours == theirs
 
 
+@st.composite
+def multisets(draw, limit: int = 80) -> Partition:
+    """Parts with repeats, each drawn with its multiplicity while the weight fits limit."""
+    parts, room = [], limit
+    pieces = st.tuples(st.integers(1, 40), st.sampled_from((1, 1, 2, 3)))
+    for value, mult in draw(st.lists(pieces, max_size=12)):
+        mult = min(mult, room // value)
+        parts += [value] * mult
+        room -= value * mult
+    return normalize(parts)
+
+
+@given(multisets())
+def test_membership_agrees_with_oracle_on_drawn_multisets(p):
+    # Beyond the exhaustive range above: weights up to 80, every class.
+    for cls in PartitionClass:
+        assert is_in_class(p, cls) is oracle.PREDICATES[cls.value](p.parts), cls
+
+
 # --------------------------------------------------------- enumerate_class
 
 

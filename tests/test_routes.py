@@ -56,7 +56,7 @@ ROUTES = {
     ),
     MAPS: (
         maps,
-        ("glaisher_to_odd", "glaisher_to_distinct", "_merge_binary")
+        ("_split_to_odd", "glaisher_to_odd", "glaisher_to_distinct", "_merge_binary")
         + ("d_reduce", "d_lift", "c_to_b", "b_to_c"),
     ),
     KERNEL: (
