@@ -32,10 +32,10 @@ DEFAULT_ORDER = 200
 # split makes 2^k parts of one part 2^k).  Worst cases from tools/worst_case.py
 # on a 2-vCPU Xeon, Python 3.11.7, fresh interpreters, median of 3 [range] and
 # peak RSS (the README has every case): the slowest, enumerate --class D --n
-# 100 --cutoff 100 (818,348 partitions), 7.9 s [7.3-8.0] and 153 MB; that
-# count by enumeration 2.7 s [2.6-3.5] and 15 MB; verify --identity chain_C
-# --order 2000 1.9 s [1.9-2.0] and 16 MB; a count at --n 1000 0.09-0.15 s,
-# a map at weight 1000 0.08 s, start-up (--n 1) 0.07 s; selftest 0.54 s.
+# 100 --cutoff 100 (818,348 partitions), 7.3 s [6.9-7.7] and 153 MB; that
+# count by enumeration 2.7 s [2.5-2.8] and 15 MB; verify --identity chain_C
+# --order 2000 1.2 s [1.1-1.5] and 25 MB; a count at --n 1000 0.08-0.11 s,
+# a map at weight 1000 0.06 s, start-up (--n 1) 0.08 s; selftest 0.62 s.
 # Doubling --order or --n costs about 4x (O(N^2)); --cutoff 120 about 5x.
 MAX_ORDER = 2000
 MAX_N = 1000

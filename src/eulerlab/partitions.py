@@ -377,7 +377,8 @@ def _unit(order: int) -> list[int]:
 
 # Every coefficient table built for the life of the process, by key: a count
 # table by dynamic program under (method, class), and each series of
-# series.py under its class, C form, chain stage or ("euler_lhs", sign).
+# series.py under its class, C form, chain stage, ("euler_lhs", sign) or
+# ("inner_m_sum", gap).
 # Coefficient n depends only on exponents up to n, so each key holds the
 # longest table built so far and serves a lower n as its prefix.  The
 # builders stay uncached, so a rebound one is seen whenever its table is cold.

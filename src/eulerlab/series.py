@@ -221,12 +221,12 @@ class VerificationReport(NamedTuple):
         )
 
 
-# Each class, C form, chain stage and Euler base is held in the kernel's one
-# store, partitions._held, which serves a lower order as a prefix.  gf(C) is
-# the form sum_over_largest, so the two names share one entry.  Rebinding a
-# public name (a tracer, a seeded fault) wraps that name alone, so every call
-# to it is still seen; but a composite cached earlier, such as the final
-# stage's gf(D), keeps its value.
+# Each class, C form, chain stage, Euler base and inner m-sum is held in the
+# kernel's one store, partitions._held, which serves a lower order as a
+# prefix.  gf(C) is the form sum_over_largest, so the two names share one
+# entry.  Rebinding a public name (a tracer, a seeded fault) wraps that name
+# alone, so every call to it is still seen; but a composite cached earlier,
+# such as the final stage's gf(D), keeps its value.
 def _cached(key: object, order: int, build: Callable[[int], Sequence[int]]) -> TruncatedSeries:
     """The series held under key, at order; build(order) runs only above the held order."""
     return TruncatedSeries(_held_prefix(key, order, build), order)
@@ -273,8 +273,17 @@ def gf_c_variant(form: str, order: int) -> TruncatedSeries:
 
 
 def _inner_m_sum(order: int, gap: int) -> list[int]:
-    # sum_m q^(gap*m) / (q^2;q^2)_m;  T_m / T_(m-1) = q^gap / (1-q^(2m))
-    return _sum_by_ratio(order, gap, ((1, 2, 0, -1),))
+    # sum_m q^(gap*m) / (q^2;q^2)_m for an even gap 2h: it is F_h(q^2), where
+    # F_h(x) = sum_m x^(hm) / (x;x)_m and T_m / T_(m-1) = x^h / (1-x^m).  F_h
+    # is held per gap, so double_sum, split_sum and every lower order read one
+    # build, half as long as the q-form, spread here into the even exponents.
+    h = gap // 2
+    f_h = _held_prefix(
+        ("inner_m_sum", gap), order // 2, lambda n: _sum_by_ratio(n, h, ((1, 1, 0, -1),))
+    )
+    spread = [0] * (order + 1)
+    spread[::2] = f_h
+    return spread
 
 
 def _stage_factored(order: int) -> list[int]:

@@ -36,6 +36,10 @@ The front-to-back part keeps the package's original term-ratio evaluator,
 which adds every summand into a full-length output, as a second reference
 for the Horner fold that replaced it.  It runs the kernel part, not the
 package's kernel.
+
+The q-form part keeps the package's original inner m-sum of the chain's
+double sums, folded over every exponent of q, against which the held inner
+sums, built in x = q^2, are checked once spread back to q.
 """
 
 from __future__ import annotations
@@ -546,3 +550,21 @@ def slow_sum_by_ratio(
         add_into(out, [scale**n * x for x in summand], gap * n)
         n += 1
     return out
+
+
+# ------------------------------------------------------- q-form inner sum
+# The package's original inner m-sum of the chain's double sums, folded over
+# every exponent of q, the odd ones that stay zero included.  The package now
+# builds it in x = q^2 and holds it per gap; spread back to q it must give
+# exactly this fold.  It runs the kernel part, not the package's kernel.
+
+
+def inner_m_sum(order: int, gap: int) -> list[int]:
+    """Coefficients 0..order of sum_m q^(gap*m) / (q^2;q^2)_m, by Horner's
+    rule from the top m down: H_m = 1 + q^gap * H_(m+1) / (1 - q^(2m+2))."""
+    h: list[int] = []
+    for m in range(order // gap, -1, -1):
+        div_factor(h, 1, 2 * (m + 1))
+        h[:0] = [0] * min(gap, order - gap * m + 1)
+        h[0] += 1
+    return h

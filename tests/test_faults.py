@@ -3,8 +3,11 @@
 The series tests wrap one builder so that its coefficient of q^k comes out
 one too large, then assert that the check reports exactly that exponent and
 the exact context string; a side cut short must fail at its first missing
-exponent.  The listing tests drop one partition from one class generator, or
-send one input of one map to a wrong image, and assert the exact detail of
+exponent.  One coefficient of a held inner m-sum of the chain, and
+split_sum's own outer fold, are perturbed the same way, so sharing the inner
+m-sums between double_sum and split_sum hides no fault.  The listing tests
+drop one partition from one class generator, or send one input of one map to
+a wrong image, and assert the exact detail of
 the listing criterion or of golden_table; bijection_suite must list each
 class once per weight and evaluate each map once per argument and weight.
 The counting tests add one to a dynamic-program
@@ -89,6 +92,33 @@ def test_c_form_fault_is_reported(monkeypatch, form):
 def test_chain_stage_fault_is_reported(monkeypatch, stage):
     _perturb(monkeypatch, "gf_c_chain_stage", stage, K)
     _assert_caught(series.verify_identity("chain_C", ORDER), K, f"stage={stage}")
+
+
+def test_held_inner_m_sum_fault_is_reported():
+    # One coefficient of the held inner m-sum of gap 4, x^3 = q^6 of F_2(q^2),
+    # one too large: double_sum, the first stage that reads it, adds it to its
+    # summand n = 1 at q^2, and doubles the stage.
+    series._inner_m_sum(ORDER, 4)
+    held = list(partitions._held["inner_m_sum", 4])
+    held[3] += 1
+    partitions._held["inner_m_sum", 4] = tuple(held)
+    _assert_caught(series.verify_identity("chain_C", ORDER), 8, "stage=double_sum", gap=2)
+
+
+def test_split_sum_outer_fold_fault_is_reported(monkeypatch):
+    # split_sum's outer fold, the only gap-1 fold with an addend, one too
+    # large at q^K: the inner m-sums it reads are double_sum's builds, which
+    # are right, and the fault still shows at split_sum.
+    original = series._sum_by_ratio
+
+    def patched(order, gap, ratio, scale=1, term=None):
+        h = original(order, gap, ratio, scale, term)
+        if gap == 1 and term is not None:
+            h[K] += 1
+        return h
+
+    monkeypatch.setattr(series, "_sum_by_ratio", patched)
+    _assert_caught(series.verify_identity("chain_C", ORDER), K, "stage=split_sum", gap=2)
 
 
 def _perturb_euler(monkeypatch, side, c, sign, k=K):

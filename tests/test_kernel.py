@@ -14,7 +14,8 @@ factor passes against ring products and reciprocals, the shifted add against
 the ring's target + q^at * coeffs.  The sparse product and quotient by
 (q^step;q^step)_inf, from Euler's pentagonal number theorem, are checked
 against the factor-by-factor passes to the CLI's highest order and against
-the oracle's ring product.
+the oracle's ring product.  The chain's inner m-sums, built in x = q^2 and
+held per gap, are checked against the oracle's fold over every power of q.
 """
 
 import pytest
@@ -302,6 +303,29 @@ def test_cache_clear_empties_the_held_sides(cold_builds):
     assert not partitions._held
     _euler_lhs(2, 1, 10)
     assert cold_builds == [(1, 1, 10), (1, -1, 10), (1, 1, 10)]
+
+
+# ------------------------------------------------------ held inner m-sums
+
+# The chain's inner m-sums are built in x = q^2 and held per gap; spread back
+# to q, each must equal the oracle's q-form fold, built cold at every order of
+# both parities and served as a prefix of the builds at the highest order.
+# Every even gap up to order + 2 is asked for, so a gap past the order is too.
+INNER_ORDERS = [*range(0, 61), 199, 200, 271]
+
+
+def test_held_inner_m_sums_match_the_q_form_fold(monkeypatch):
+    expected = {}
+    for order in INNER_ORDERS:
+        partitions._held.clear()
+        for gap in range(2, order + 3, 2):
+            expected[order, gap] = oracle.inner_m_sum(order, gap)
+            assert series._inner_m_sum(order, gap) == expected[order, gap], (order, gap)
+    builds = []
+    monkeypatch.setattr(series, "_sum_by_ratio", lambda *args: builds.append(args))
+    for (order, gap), coeffs in expected.items():
+        assert series._inner_m_sum(order, gap) == coeffs, (order, gap)
+    assert not builds
 
 
 # ----------------------------------------------- no ring on the fast route

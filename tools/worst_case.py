@@ -9,13 +9,15 @@ for every class; a count of class D by enumeration and a listing of every
 class, at --n MAX_CUTOFF; series for every class, C form and chain stage and
 verify for every identity, at --order MAX_ORDER; and map at weight MAX_N,
 where Glaisher's split makes the most parts (512+256+128+64+32+8 into MAX_N
-ones, and those ones merged back).  Each case runs RUNS times, each run in a
+ones, and those ones merged back).  Each case runs RUNS times, round-robin:
+run r of every case comes before run r + 1 of any, so a slow period of the
+host is spread over all cases rather than landing on a few.  Each run is a
 new interpreter with eulerlab from ./src, its stdout sent to /dev/null, under
 RLIMIT_AS and RLIMIT_CPU set in preexec_fn, so the caps act on that child
-alone.  For each case the script prints the median wall time of the runs
-with their range, and the largest VmHWM (peak resident set) that a child
-read from its own /proc/self/status; then it names the slowest case.  It
-exits 1 if a run fails or exits non-zero.
+alone.  Once every run is done, the script prints for each case the median
+wall time of its runs with their range, and the largest VmHWM (peak resident
+set) that a child read from its own /proc/self/status; then it names the
+slowest case.  It exits 1 if a run fails or exits non-zero.
 """
 
 from __future__ import annotations
@@ -101,11 +103,11 @@ def run_once(argv: list[str]) -> tuple[float, int, str]:
 
 
 def main() -> int:
+    rounds = [[run_once(argv) for argv in CASES] for _ in range(RUNS)]
     print(f"{'case':<64} {'median s':>9} {'range s':>13} {'VmHWM MB':>9}")
     medians, failed = {}, False
-    for argv in CASES:
+    for argv, runs in zip(CASES, zip(*rounds)):
         name = " ".join(argv).replace(ONES, f"1+...+1 ({MAX_N} ones)")
-        runs = [run_once(argv) for _ in range(RUNS)]
         walls = [wall for wall, _, _ in runs]
         medians[name] = statistics.median(walls)
         peak = max(hwm for _, hwm, _ in runs) / 1024
