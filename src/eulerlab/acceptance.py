@@ -1,21 +1,20 @@
 """The acceptance suite: every headline claim, run end to end at full scale.
 
-Each criterion returns a CriterionResult instead of raising, so the CLI
-selftest and the pytest wrappers can share one implementation.  A criterion
-is written as a check that returns its failure detail, or "" on a pass; the
-_criterion decorator times it and names the result after it.
+Each criterion is a check that returns its failure detail, or "" on a pass;
+_criterion times it and returns a CriterionResult, which the CLI selftest and
+the pytest wrappers share.  A count failure is a series._first_failure report:
+it names the order, the first exponent that differs and the counts compared.
 """
 
 from __future__ import annotations
 
 import functools
 from time import perf_counter
-from typing import Callable, NamedTuple, ParamSpec, Sequence
+from typing import Callable, Iterable, NamedTuple, ParamSpec, Sequence
 
 from .maps import b_to_c, c_to_b, d_lift, d_reduce, glaisher_to_distinct, glaisher_to_odd
 from .partitions import (
     COUNT_METHODS,
-    METHOD_DYNAMIC_PROGRAM,
     METHOD_ENUMERATION,
     A,
     B,
@@ -30,6 +29,9 @@ from .partitions import (
 from .series import (
     C_FORMS,
     IDENTITY_NAMES,
+    VerificationReport,
+    _first_failure,
+    _theorem_checks,
     euler_expansion_check,
     gf_c_variant,
     verify_identity,
@@ -72,6 +74,11 @@ def _criterion(check: Callable[_P, str]) -> Callable[_P, CriterionResult]:
     return criterion
 
 
+def _first_detail(reports: Iterable[VerificationReport]) -> str:
+    """The detail of the first failing report, or "" when every one passes."""
+    return next(filter(None, (r.detail for r in reports)), "")
+
+
 @_criterion
 def golden_table() -> str:
     """The weight-6 counts and the four exact partition lists."""
@@ -99,38 +106,29 @@ def theorem_by_enumeration(n_max: int = 60) -> str:
         raise ValueError("n_max must be >= 1")
     a, b = (count_table(cls, n_max, METHOD_ENUMERATION, n_max + 1) for cls in (A, B))
     c, d = (count_table(cls, n_max + 1, METHOD_ENUMERATION, n_max + 1) for cls in (C, D))
-    for n in range(1, n_max + 1):
-        if not (a[n] == b[n] == c[n + 1] and d[n + 1] == 2 * a[n]):
-            return f"n={n}: A={a[n]} B={b[n]} C(n+1)={c[n + 1]} D(n+1)={d[n + 1]}"
-    return ""
+    return _first_failure("theorem_by_enumeration", n_max, _theorem_checks((a, b, c, d))).detail
 
 
 @_criterion
 def theorem_by_series(order: int = 200) -> str:
     """All five identity checks by series coefficients at the given order."""
-    reports = (verify_identity(name, order) for name in IDENTITY_NAMES)
-    return next((r.summary() for r in reports if not r.passed), "")
+    return _first_detail(verify_identity(name, order) for name in IDENTITY_NAMES)
 
 
 @_criterion
 def c_forms_match_b(order: int = 200) -> str:
-    """coeff(gf_C, n+1) = B(n) for 1 <= n <= order-1, in all three C forms."""
+    """coeff(gf_C, n+1) = B(n), by dynamic program, for 1 <= n < order, in all three C forms."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    b_values = count_table(B, order - 1, METHOD_DYNAMIC_PROGRAM)
-    for form in C_FORMS:
-        coeffs = gf_c_variant(form, order).coeffs
-        for n in range(1, order):
-            if coeffs[n + 1] != b_values[n]:
-                return f"form={form} n={n}: {coeffs[n + 1]} != {b_values[n]}"
-    return ""
+    b = count_table(B, order - 1)
+    checks = ((f"form={form}", 2, gf_c_variant(form, order).coeffs[2:], b[1:]) for form in C_FORMS)
+    return _first_failure("c_forms_match_b", order, checks).detail
 
 
 @_criterion
 def chain_stages(order: int = 200) -> str:
     """All five doubled chain stages equal 2*gf_C, and 2*gf_C = gf_D + 1 - q."""
-    reports = (verify_identity(name, order) for name in ("chain_C", "half_D"))
-    return next((r.summary() for r in reports if not r.passed), "")
+    return _first_detail(verify_identity(name, order) for name in ("chain_C", "half_D"))
 
 
 @_criterion
@@ -138,8 +136,7 @@ def euler_expansion(max_c: int = 5, order: int = 100) -> str:
     """The reciprocal-product expansion at t = q^c and t = -q^c, c = 1..max_c."""
     if max_c < 1:
         raise ValueError("max_c must be >= 1")
-    reports = (euler_expansion_check(c, order) for c in range(1, max_c + 1))
-    return next((r.summary() for r in reports if not r.passed), "")
+    return _first_detail(euler_expansion_check(c, order) for c in range(1, max_c + 1))
 
 
 @_criterion
@@ -201,13 +198,13 @@ def bijection_suite(max_weight: int = 40) -> str:
 @_criterion
 def oracle_equivalence(n_max: int = 30) -> str:
     """Enumeration, dynamic program, and series coefficients agree to n_max."""
-    for cls in PartitionClass:
-        tables = {m: count_table(cls, n_max, m) for m in COUNT_METHODS}
-        for n in range(n_max + 1):
-            values = {m: tables[m][n] for m in COUNT_METHODS}
-            if len(set(values.values())) != 1:
-                return f"class {cls.value}, n={n}: {values}"
-    return ""
+    tables = {(cls, m): count_table(cls, n_max, m) for cls in PartitionClass for m in COUNT_METHODS}
+    checks = (
+        (f"class {cls.value}: {m} vs {m2}", 0, tables[cls, m], tables[cls, m2])
+        for cls in PartitionClass
+        for m, m2 in zip(COUNT_METHODS, COUNT_METHODS[1:])
+    )
+    return _first_failure("oracle_equivalence", n_max, checks).detail
 
 
 CRITERIA: dict[str, Callable[[], CriterionResult]] = {

@@ -200,7 +200,7 @@ C_FORMS = tuple(_C_FORM_RATIOS)
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of one coefficientwise identity check over exponents 0..order."""
+    """Outcome of one stream of checks to the given order: a pass, or its first mismatch."""
 
     name: str
     order: int
@@ -212,12 +212,15 @@ class VerificationReport(NamedTuple):
     context: str = ""
 
     def summary(self) -> str:
+        return self.detail or f"{self.name} order={self.order} PASS"
+
+    @property
+    def detail(self) -> str:
         if self.passed:
-            return f"{self.name} order={self.order} PASS"
-        where = f" [{self.context}]" if self.context else ""
+            return ""
         return (
-            f"{self.name} order={self.order} FAIL at q^{self.exponent}: "
-            f"{self.lhs} != {self.rhs}{where}"
+            f"{self.name} order={self.order} FAIL at q^{self.exponent}: {self.lhs} != {self.rhs}"
+            + (f" [{self.context}]" if self.context else "")
         )
 
 
@@ -437,11 +440,11 @@ def _half_d_checks(order: int) -> Iterator[Check]:
     yield "2*gf(C) vs gf(D) + 1 - q", 0, lhs, gf_c_chain_stage("final", order).coeffs
 
 
-def _thm_all_checks(order: int) -> Iterator[Check]:
-    # Reported at n >= 1, the index of A(n) and B(n); all three comparisons
-    # at n come before those at n + 1.
-    a, b, c, d = (gf_class(cls, order).coeffs for cls in PartitionClass)
-    for n in range(1, order):
+def _theorem_checks(tables: Iterable[Sequence[int]]) -> Iterator[Check]:
+    # A(n) = B(n) = C(n+1) = D(n+1)/2 on count tables a, b, c, d, read at the
+    # first check, for 1 <= n <= len(d) - 2; reported at n, by n then comparison.
+    a, b, c, d = tables
+    for n in range(1, len(d) - 1):
         yield "A(n) vs B(n)", n, (a[n],), (b[n],)
         yield "B(n) vs C(n+1)", n, (b[n],), (c[n + 1],)
         yield "2*A(n) vs D(n+1)", n, (2 * a[n],), (d[n + 1],)
@@ -452,7 +455,7 @@ _IDENTITY_CHECKS = {
     "shift_BC": _shift_bc_checks,
     "chain_C": _chain_c_checks,
     "half_D": _half_d_checks,
-    "thm_all": _thm_all_checks,
+    "thm_all": lambda order: _theorem_checks(gf_class(cls, order).coeffs for cls in PartitionClass),
 }
 IDENTITY_NAMES = tuple(_IDENTITY_CHECKS)
 

@@ -79,6 +79,7 @@ def test_oracle_equivalence_to_30():
         (acceptance.theorem_by_enumeration, (0,), "n_max must be >= 1"),
         (acceptance.theorem_by_enumeration, (-1,), "n_max must be >= 1"),
         (acceptance.bijection_suite, (-1,), "max_weight must be >= 0"),
+        (acceptance.oracle_equivalence, (-1,), "n_max must be non-negative"),
     ],
 )
 def test_degenerate_arguments_raise(criterion, args, message):
@@ -86,10 +87,17 @@ def test_degenerate_arguments_raise(criterion, args, message):
         criterion(*args)
 
 
-# The lowest arguments that still compare something pass: n = 1, and weight 0,
-# whose Glaisher round trips take the empty partition.
+# The lowest arguments that still compare something pass: n = 1; weight 0,
+# whose Glaisher round trips take the empty partition; C(2) against B(1); and
+# the counts of weight 0.
 @pytest.mark.parametrize(
-    "criterion,arg", [(acceptance.theorem_by_enumeration, 1), (acceptance.bijection_suite, 0)]
+    "criterion,arg",
+    [
+        (acceptance.theorem_by_enumeration, 1),
+        (acceptance.bijection_suite, 0),
+        (acceptance.c_forms_match_b, 2),
+        (acceptance.oracle_equivalence, 0),
+    ],
 )
 def test_lowest_arguments_pass(criterion, arg):
     _check(criterion, arg)

@@ -5,19 +5,23 @@ one too large, then assert that the check reports exactly that exponent and
 the exact context string; a side cut short must fail at its first missing
 exponent.  One coefficient of a held inner m-sum of the chain, and
 split_sum's own outer fold, are perturbed the same way, so sharing the inner
-m-sums between double_sum and split_sum hides no fault.  The listing tests
-drop one partition from one class generator, or send one input of one map to
-a wrong image, and assert the exact detail of
-the listing criterion or of golden_table; bijection_suite must list each
-class once per weight and evaluate each map once per argument and weight.
-The counting tests add one to a dynamic-program
-count, or to one coefficient of a division in the kernel that the dynamic
-program and the series share, or drop one coefficient of the kernel's shifted
-add, and assert the detail of oracle_equivalence.  A sign flipped in one
-term of the sparse (q^step;q^step)_inf must fail the kernel's comparison with
-the factor-by-factor route and name the chain stage it reaches first, and
-one flipped in the Euler left side's multiply-up step must fail the expansion
-at the first c that step reaches.  So no check passes vacuously.
+m-sums between double_sum and split_sum hides no fault.  The count criteria
+report as the identities do, so each detail is a summary that names the pair
+of counts that first differs; theorem_by_enumeration and thm_all are faulted
+at both ends of their shared range, and c_forms_match_b at its top.  The
+listing tests drop one partition from one class generator, or send one input
+of one map to a wrong image, and assert the exact detail of
+theorem_by_enumeration, bijection_suite or golden_table; bijection_suite must
+list each class once per weight and evaluate each map once per argument and
+weight.  The counting tests add one to a dynamic-program count, or to one
+coefficient of a division in the kernel that the dynamic program and the
+series share, or drop one coefficient of the kernel's shifted add, and assert
+the detail of oracle_equivalence, which names the class and the two methods
+compared, not all three counts.  A sign flipped in one term of the sparse
+(q^step;q^step)_inf must fail the kernel's comparison with the
+factor-by-factor route and name the chain stage it reaches first, and one
+flipped in the Euler left side's multiply-up step must fail the expansion at
+the first c that step reaches.  So no check passes vacuously.
 """
 
 import random
@@ -38,7 +42,8 @@ K = 17
 
 
 def _perturb(monkeypatch, attr, first_arg, k):
-    """Make series.<attr>(first_arg, ...) return q^k's coefficient plus one."""
+    """Make <attr>(first_arg, ...) return q^k's coefficient plus one, in series
+    and wherever acceptance imports the same builder."""
     original = getattr(series, attr)
 
     def patched(*args, **kwargs):
@@ -49,7 +54,9 @@ def _perturb(monkeypatch, attr, first_arg, k):
         coeffs[k] += 1
         return TruncatedSeries(coeffs, result.order)
 
-    monkeypatch.setattr(series, attr, patched)
+    for module in (series, acceptance):
+        if getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, patched)
 
 
 def _assert_caught(report, exponent, context, gap=1):
@@ -217,7 +224,9 @@ def test_thm_all_reports_by_n_then_comparison(monkeypatch):
     )
 
 
-# (criterion, builder perturbed at q^17, its first argument, detail)
+# (criterion, builder perturbed at q^17, its first argument, detail); gf(B)
+# moves oracle_equivalence's series column alone, which only its second
+# comparison of each class reads.
 CRITERION_FAULTS = [
     (
         "theorem_by_series",
@@ -231,6 +240,19 @@ CRITERION_FAULTS = [
         "gf_c_chain_stage",
         "split_sum",
         "chain_C order=30 FAIL at q^17: 65 != 64 [stage=split_sum]",
+    ),
+    (
+        "c_forms_match_b",
+        "gf_c_variant",
+        "odd_poch_ratio",
+        "c_forms_match_b order=30 FAIL at q^17: 33 != 32 [form=odd_poch_ratio]",
+    ),
+    (
+        "oracle_equivalence",
+        "gf_class",
+        B,
+        "oracle_equivalence order=30 FAIL at q^17: 38 != 39 "
+        "[class B: dynamic-program vs series-coefficient]",
     ),
 ]
 
@@ -256,13 +278,15 @@ def test_oracle_equivalence_detail(monkeypatch):
     result = acceptance.oracle_equivalence()
     assert not result.passed
     assert result.detail == (
-        "class C, n=17: {'enumeration': 32, 'dynamic-program': 33, 'series-coefficient': 32}"
+        "oracle_equivalence order=30 FAIL at q^17: 32 != 33 "
+        "[class C: enumeration vs dynamic-program]"
     )
 
 
 def test_shared_kernel_fault_is_caught_by_enumeration(monkeypatch):
     # The dynamic program and the series share the in-place kernel, so a fault
-    # in it makes their columns agree; the enumeration column still differs.
+    # in it moves their counts alike and their comparison passes; only the
+    # comparison with the enumeration, the first of each class, catches it.
     original = partitions._div_factor
 
     def patched(c, sign, e):
@@ -275,7 +299,8 @@ def test_shared_kernel_fault_is_caught_by_enumeration(monkeypatch):
     result = acceptance.oracle_equivalence()
     assert not result.passed
     assert result.detail == (
-        "class B, n=17: {'enumeration': 38, 'dynamic-program': 39, 'series-coefficient': 39}"
+        "oracle_equivalence order=30 FAIL at q^17: 38 != 39 "
+        "[class B: enumeration vs dynamic-program]"
     )
 
 
@@ -318,7 +343,8 @@ def test_shared_add_fault_is_caught_by_the_other_routes(monkeypatch):
     result = acceptance.oracle_equivalence()
     assert not result.passed
     assert result.detail == (
-        "class C, n=30: {'enumeration': 256, 'dynamic-program': 0, 'series-coefficient': 256}"
+        "oracle_equivalence order=30 FAIL at q^30: 256 != 0 "
+        "[class C: enumeration vs dynamic-program]"
     )
     for name in IDENTITY_NAMES:
         assert series.verify_identity(name, 60).passed, name
@@ -388,7 +414,38 @@ def test_theorem_by_enumeration_checks_n_1(monkeypatch):
     _drop_partition(monkeypatch, D, (1, 1))
     result = acceptance.theorem_by_enumeration(10)
     assert not result.passed
-    assert result.detail == "n=1: A=1 B=1 C(n+1)=1 D(n+1)=1"
+    assert result.detail == (
+        "theorem_by_enumeration order=10 FAIL at q^1: 2 != 1 [2*A(n) vs D(n+1)]"
+    )
+
+
+# The top of each shared range: theorem_by_enumeration(n_max) compares D(n_max + 1)
+# at n = n_max, thm_all at order N compares D(N) at n = N - 1, and c_forms_match_b(N)
+# compares each C form through q^N.
+@pytest.mark.parametrize(
+    "seed_fault,run,detail",
+    [
+        (
+            lambda mp: _drop_one(mp, D, 13),
+            lambda: acceptance.theorem_by_enumeration(12).detail,
+            "theorem_by_enumeration order=12 FAIL at q^12: 30 != 29 [2*A(n) vs D(n+1)]",
+        ),
+        (
+            lambda mp: _perturb(mp, "gf_class", D, ORDER),
+            lambda: series.verify_identity("thm_all", ORDER).detail,
+            "thm_all order=30 FAIL at q^29: 512 != 513 [2*A(n) vs D(n+1)]",
+        ),
+        (
+            lambda mp: _perturb(mp, "gf_c_variant", "even_poch_ratio", ORDER),
+            lambda: acceptance.c_forms_match_b(ORDER).detail,
+            "c_forms_match_b order=30 FAIL at q^30: 257 != 256 [form=even_poch_ratio]",
+        ),
+    ],
+    ids=["theorem_by_enumeration", "thm_all", "c_forms_match_b"],
+)
+def test_top_of_shared_range_is_checked(monkeypatch, seed_fault, run, detail):
+    seed_fault(monkeypatch)
+    assert run() == detail
 
 
 # A(16) = 32 and A(17) = 38 (distinct-part partitions); a class C or D
@@ -396,13 +453,14 @@ def test_theorem_by_enumeration_checks_n_1(monkeypatch):
 # weight n are checked against the A listing of weight n - 1, and the images
 # of A(n) under glaisher_to_odd and of C(n + 1) under c_to_b against the B
 # listing of weight n.
+THEOREM_OFF = "theorem_by_enumeration order=20 FAIL at q^{}"
 IMAGE_SET_OFF = "c_to_b image set differs from class B at weight {}"
 GLAISHER_SET_OFF = "glaisher_to_odd image set differs from class B at weight {}"
 LISTING_FAULTS = [
-    (A, "n=17: A=37 B=38 C(n+1)=38 D(n+1)=76", GLAISHER_SET_OFF.format(17)),
-    (B, "n=17: A=38 B=37 C(n+1)=38 D(n+1)=76", GLAISHER_SET_OFF.format(17)),
-    (C, "n=16: A=32 B=32 C(n+1)=31 D(n+1)=64", IMAGE_SET_OFF.format(16)),
-    (D, "n=16: A=32 B=32 C(n+1)=32 D(n+1)=63", "fiber structure off at weight 17"),
+    (A, THEOREM_OFF.format("17: 37 != 38 [A(n) vs B(n)]"), GLAISHER_SET_OFF.format(17)),
+    (B, THEOREM_OFF.format("17: 38 != 37 [A(n) vs B(n)]"), GLAISHER_SET_OFF.format(17)),
+    (C, THEOREM_OFF.format("16: 32 != 31 [B(n) vs C(n+1)]"), IMAGE_SET_OFF.format(16)),
+    (D, THEOREM_OFF.format("16: 64 != 63 [2*A(n) vs D(n+1)]"), "fiber structure off at weight 17"),
 ]
 
 

@@ -83,10 +83,10 @@ NEUTRAL = {
         "_shift_bc_checks",
         "_chain_c_checks",
         "_half_d_checks",
-        "_thm_all_checks",
+        "_theorem_checks",
         "verify_identity",
     ),
-    acceptance: ("_criterion", "run_all", *acceptance.CRITERIA),
+    acceptance: ("_criterion", "_first_detail", "run_all", *acceptance.CRITERIA),
 }
 
 ROUTE_OF = {
