@@ -1,15 +1,18 @@
 """Command-line front end: count, enumerate, map, verify, series, selftest.
 
-Exit codes: 0 all good, 1 verification or class-membership failure, 2 usage
-or parse error.  Output is deterministic; --format json-lines emits one JSON
-record per line carrying the fields the plain rendering is built from.
+Each command returns its records and main prints them, one line each.  Exit
+codes: 1 when a printed record has passed false or on a class-membership
+error, 2 on a usage or parse error, else 0.  Output is deterministic;
+--format json-lines emits one JSON record per line carrying the fields the
+plain rendering is built from.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 # series, acceptance and maps are imported by the commands that use them, so
 # a call loads only what its subcommand runs.
@@ -18,7 +21,6 @@ from .partitions import (
     DEFAULT_ENUMERATION_CUTOFF,
     METHOD_DYNAMIC_PROGRAM,
     ClassMembershipError,
-    Partition,
     PartitionClass,
     count_table,
     enumerate_class,
@@ -90,24 +92,16 @@ def parse_n_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _render(p: Partition, cls: PartitionClass | None) -> str:
-    if cls is PartitionClass.D:
-        return render_class_d(p)
-    return str(p)
-
-
 def record_to_plain(record: dict) -> str:
     """Regenerate the plain-format line from a json-lines record."""
     kind = record["type"]
     if kind == "count":
         return f"{record['n']} {record['class']} {record['count']}"
-    if kind == "enumeration":
-        cls = PartitionClass(record["class"])
-        return _render(normalize(record["parts"]), cls)
-    if kind == "map":
-        cls = PartitionClass(record["output_class"])
-        rendered = _render(normalize(record["parts"]), cls)
-        if record.get("case_number") is not None:
+    if kind in ("enumeration", "map"):
+        cls = PartitionClass(record["class" if kind == "enumeration" else "output_class"])
+        p = normalize(record["parts"])
+        rendered = render_class_d(p) if cls is PartitionClass.D else str(p)
+        if kind == "map" and record.get("case_number") is not None:
             return f"{rendered} (case {record['case_number']}, bit {record['bit']})"
         return rendered
     if kind == "verify":
@@ -123,15 +117,20 @@ def record_to_plain(record: dict) -> str:
     raise UsageError(f"unknown record type {kind!r}")
 
 
-def _emit(records: Iterable[dict], fmt: str) -> None:
+def _emit(records: Iterable[dict], fmt: str) -> int:
+    """Print one line per record; 1 if a record has passed false, else 0."""
     if fmt == "json-lines":
         import json  # deferred, so that plain output does not load it
 
-        lines = (json.dumps(record, sort_keys=True) for record in records)
+        render = functools.partial(json.dumps, sort_keys=True)
     else:
-        lines = map(record_to_plain, records)
-    for line in lines:
-        print(line)
+        render = record_to_plain
+    code = 0
+    for record in records:
+        print(render(record))
+        if not record.get("passed", True):
+            code = 1
+    return code
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
@@ -149,26 +148,23 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise UsageError("enumerate takes a single weight, not a range")
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> list[dict]:
     cls = PartitionClass(args.cls)
     counts = count_table(cls, max(args.n), args.method, args.cutoff)
-    records = [{"type": "count", "n": n, "class": cls.value, "count": counts[n]} for n in args.n]
-    _emit(records, args.format)
-    return 0
+    return [{"type": "count", "n": n, "class": cls.value, "count": counts[n]} for n in args.n]
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> Iterator[dict]:
     cls = PartitionClass(args.cls)
     (n,) = args.n
-    records = (
+    # enumerate_class runs here, so an over-cutoff call fails before any output
+    return (
         {"type": "enumeration", "n": n, "class": cls.value, "parts": list(p.parts)}
         for p in enumerate_class(n, cls, args.cutoff)
     )
-    _emit(records, args.format)
-    return 0
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args: argparse.Namespace) -> list[dict]:
     from . import maps
 
     name = args.bijection
@@ -188,20 +184,17 @@ def cmd_map(args: argparse.Namespace) -> int:
     else:
         image = apply(p)
     record.update({"parts": list(image.parts), "output_class": out_cls.value})
-    _emit([record], args.format)
-    return 0
+    return [record]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> list[dict]:
     from .series import verify_identity
 
     report = verify_identity(args.identity, args.order)
-    record = {"type": "verify", **{k: getattr(report, k) for k in VERIFY_FIELDS}}
-    _emit([record], args.format)
-    return 0 if report.passed else 1
+    return [{"type": "verify", **{k: getattr(report, k) for k in VERIFY_FIELDS}}]
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> list[dict]:
     from .series import gf_c_chain_stage, gf_c_variant, gf_class
 
     # argparse's required group gives exactly one of --class, --form, --stage
@@ -211,29 +204,24 @@ def cmd_series(args: argparse.Namespace) -> int:
         series = gf_c_variant(args.form, args.order)
     else:
         series = gf_c_chain_stage(args.stage, args.order)
-    records = [
+    return [
         {"type": "series", "exponent": n, "coefficient": c}
         for n, c in enumerate(series.coeffs)
     ]
-    _emit(records, args.format)
-    return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> list[dict]:
     from .acceptance import run_all
 
-    results = run_all(args.only)
-    records = [
+    return [
         {
             "type": "selftest",
             "criterion": r.name,
             "passed": r.passed,
             "detail": r.detail,
         }
-        for r in results
+        for r in run_all(args.only)
     ]
-    _emit(records, args.format)
-    return 0 if all(r.passed for r in results) else 1
 
 
 def _count_arguments(p: argparse.ArgumentParser) -> None:
@@ -331,13 +319,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_ranges(args)
         _, _, command = COMMANDS[args.subcommand]
-        return command(args)
-    except ClassMembershipError as exc:
+        return _emit(command(args), args.format)
+    except ValueError as exc:  # class membership, or usage, parse, cutoff, bad flags
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # UsageError, parse errors, cutoff, bad flags
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ClassMembershipError) else 2
 
 
 if __name__ == "__main__":

@@ -199,6 +199,9 @@ def test_map_d_lift_renders_class_d(capsys):
     assert out == "1+1+5\n"
     code, out, _ = run(capsys, "map", "--bijection", "d-lift", "--bit", "0", "6")
     assert out == "0+0+7\n"
+    # A class-D image is rendered by render_class_d, zeros in front.
+    code, out, _ = run(capsys, "map", "--bijection", "d-lift", "--bit", "0", "5+1")
+    assert out == "0+0+5+2\n"
 
 
 # The json-lines record of each bijection, d-reduce once per case.
@@ -420,7 +423,8 @@ def test_json_lines_round_trip_to_plain(capsys, argv):
     assert regenerated == plain.splitlines()
 
 
-def test_failing_verify_round_trips_to_plain(capsys, monkeypatch):
+def _perturb_gf_c(monkeypatch):
+    """Add 1 to coefficient 5 of gf_class(C)."""
     original = series.gf_class
 
     def perturbed(cls, order):
@@ -432,6 +436,10 @@ def test_failing_verify_round_trips_to_plain(capsys, monkeypatch):
         return TruncatedSeries(coeffs, result.order)
 
     monkeypatch.setattr(series, "gf_class", perturbed)
+
+
+def test_failing_verify_round_trips_to_plain(capsys, monkeypatch):
+    _perturb_gf_c(monkeypatch)
     argv = ("verify", "--identity", "half_D", "--order", "30")
     code_plain, plain, _ = run(capsys, *argv, "--format", "plain")
     code_json, jsonl, _ = run(capsys, *argv, "--format", "json-lines")
@@ -447,6 +455,51 @@ def test_selftest_single_criterion(capsys):
     code, out, _ = run(capsys, "selftest", "--only", "golden_table")
     assert code == 0
     assert out == "[PASS] golden_table\n"
+
+
+def test_failing_selftest_round_trips_to_plain(capsys, monkeypatch):
+    # The exit code comes from the printed records: one failing criterion
+    # among passing ones makes it 1 in both formats.
+    _perturb_gf_c(monkeypatch)
+    argv = ("selftest", "--only", "golden_table", "--only", "chain_stages")
+    code_plain, plain, _ = run(capsys, *argv, "--format", "plain")
+    code_json, jsonl, _ = run(capsys, *argv, "--format", "json-lines")
+    assert code_plain == code_json == 1
+    lines = [
+        "[PASS] golden_table",
+        "[FAIL] chain_stages: chain_C order=200 FAIL at q^5: 2 != 3 [form=sum_over_largest]",
+    ]
+    assert plain.splitlines() == lines
+    assert [record_to_plain(json.loads(line)) for line in jsonl.splitlines()] == lines
+
+
+ENUMERATION_7_D = {"type": "enumeration", "n": 7, "class": "D", "parts": [5, 1, 1]}
+MAP_D_REDUCE = {
+    "type": "map",
+    "bijection": "d-reduce",
+    "input": [5, 1, 1],
+    "parts": [5, 1],
+    "output_class": "A",
+    "case": "smallest_equals_one",
+    "case_number": 3,
+    "bit": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{**ENUMERATION_7_D, "class": "Z"}, {**MAP_D_REDUCE, "output_class": "Z"}],
+    ids=["enumeration", "map"],
+)
+def test_record_to_plain_rejects_a_bad_class_letter(record):
+    with pytest.raises(ValueError):
+        record_to_plain(record)
+
+
+def test_record_to_plain_puts_case_and_bit_on_map_records_only():
+    assert record_to_plain(ENUMERATION_7_D) == "1+1+5"
+    assert record_to_plain(MAP_D_REDUCE) == "5+1 (case 3, bit 1)"
+    assert record_to_plain({**ENUMERATION_7_D, "case_number": 3, "bit": 1}) == "1+1+5"
 
 
 def test_usage_error_exit_2(capsys):

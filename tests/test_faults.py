@@ -226,7 +226,8 @@ def test_thm_all_reports_by_n_then_comparison(monkeypatch):
 
 # (criterion, builder perturbed at q^17, its first argument, detail); gf(B)
 # moves oracle_equivalence's series column alone, which only its second
-# comparison of each class reads.
+# comparison of each class reads.  Each case's id names the criterion and the
+# perturbed builder, so re-recording a detail keeps the test's name.
 CRITERION_FAULTS = [
     (
         "theorem_by_series",
@@ -257,7 +258,11 @@ CRITERION_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("criterion,attr,first_arg,detail", CRITERION_FAULTS)
+@pytest.mark.parametrize(
+    "criterion,attr,first_arg,detail",
+    CRITERION_FAULTS,
+    ids=[f"{c}-{attr}-{getattr(arg, 'value', arg)}" for c, attr, arg, _ in CRITERION_FAULTS],
+)
 def test_series_criterion_detail(monkeypatch, criterion, attr, first_arg, detail):
     _perturb(monkeypatch, attr, first_arg, K)
     result = getattr(acceptance, criterion)(ORDER)
@@ -464,7 +469,9 @@ LISTING_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("cls,theorem_detail,suite_detail", LISTING_FAULTS)
+@pytest.mark.parametrize(
+    "cls,theorem_detail,suite_detail", LISTING_FAULTS, ids=[c[0].value for c in LISTING_FAULTS]
+)
 def test_dropped_partition_is_reported(monkeypatch, cls, theorem_detail, suite_detail):
     _drop_one(monkeypatch, cls, K)
     theorem = acceptance.theorem_by_enumeration(20)
@@ -610,7 +617,11 @@ def _patch_map(monkeypatch, name, at, wrong):
     monkeypatch.setattr(acceptance, name, patched)
 
 
-@pytest.mark.parametrize("name,at,wrong,detail", MAP_FAULTS)
+@pytest.mark.parametrize(
+    "name,at,wrong,detail",
+    MAP_FAULTS,
+    ids=["-".join(map(str, (name, *at))) for name, at, _, _ in MAP_FAULTS],
+)
 def test_map_fault_is_reported(monkeypatch, name, at, wrong, detail):
     _patch_map(monkeypatch, name, at, wrong)
     suite = acceptance.bijection_suite(12)
