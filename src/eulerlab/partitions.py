@@ -58,14 +58,17 @@ class Partition(_Immutable):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        prev = None
+        if type(parts) is not tuple:
+            raise TypeError(f"parts must be a tuple, not {type(parts).__name__}; use normalize()")
+        # One comparison per part for order, then the sign of the last part.
+        prev = parts[0] if parts else 1
         for part in parts:
-            if part < 1:
-                raise ValueError(f"non-positive part {part}; use normalize() first")
-            if prev is not None and part > prev:
-                raise ValueError("parts must be non-increasing; use normalize() first")
+            if part > prev:
+                raise _refusal(parts)
             prev = part
-        object.__setattr__(self, "parts", parts)
+        if prev < 1:
+            raise _refusal(parts)
+        _set_parts(self, parts)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -84,6 +87,22 @@ class Partition(_Immutable):
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts) if self.parts else "(empty)"
+
+
+# The slot's own setter: _Immutable.__setattr__ refuses every assignment.
+_set_parts = Partition.parts.__set__
+
+
+def _refusal(parts: tuple[int, ...]) -> ValueError:
+    """The error for parts out of canonical form; the first offending part decides it."""
+    prev = None
+    for part in parts:
+        if part < 1:
+            return ValueError(f"non-positive part {part}; use normalize() first")
+        if prev is not None and part > prev:
+            break
+        prev = part
+    return ValueError("parts must be non-increasing; use normalize() first")
 
 
 class PartitionClass(Enum):
@@ -265,8 +284,7 @@ def enumerate_class(
         raise TypeError(f"not a partition class: {cls!r}")
     if n > cutoff:
         raise CapacityError(f"weight {n} exceeds enumeration cutoff {cutoff}")
-    tuples = sorted(_GENERATORS[cls](n), reverse=True)
-    return [Partition(t) for t in tuples]
+    return list(map(Partition, sorted(_GENERATORS[cls](n), reverse=True)))
 
 
 # The in-place coefficient kernel of the dynamic programs here and of the

@@ -12,8 +12,9 @@ at both ends of their shared range, and c_forms_match_b at its top.  The
 listing tests drop one partition from one class generator, or send one input
 of one map to a wrong image, and assert the exact detail of
 theorem_by_enumeration, bijection_suite or golden_table; bijection_suite must
-list each class once per weight and evaluate each map once per argument and
-weight.  The counting tests add one to a dynamic-program count, or to one
+list each class once per weight, evaluate each map once per argument and
+weight, and leave each image's class check to the inverse map it is handed
+to.  The counting tests add one to a dynamic-program count, or to one
 coefficient of a division in the kernel that the dynamic program and the
 series share, or drop one coefficient of the kernel's shifted add, and assert
 the detail of oracle_equivalence, which names the class and the two methods
@@ -30,7 +31,7 @@ from collections import Counter
 import pytest
 from test_kernel import sparse_mismatches
 
-from eulerlab import acceptance, partitions, series
+from eulerlab import acceptance, maps, partitions, series
 from eulerlab.cli import MAX_ORDER
 from eulerlab.maps import ReductionCase, ReductionTag
 from eulerlab.partitions import PartitionClass, normalize
@@ -534,17 +535,21 @@ def test_listing_criteria_ignore_listing_order(monkeypatch, reorder):
 A_TO_12 = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
 
 
+# Each image's class is checked once, by the input check of the inverse map
+# it is handed to; the suite makes no is_in_class call of its own, so the
+# calls are those of the four maps that check with it, one per call.
+# glaisher_to_distinct checks its parts as it merges them.
 def test_suite_evaluates_each_map_once_per_argument(monkeypatch):
     calls = Counter()
 
-    def counting(name):
-        original = getattr(acceptance, name)
+    def counting(module, name, key=None):
+        original = getattr(module, name)
 
         def counted(*args):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
     expected = {
         "glaisher_to_odd": sum(A_TO_12),
@@ -555,7 +560,13 @@ def test_suite_evaluates_each_map_once_per_argument(monkeypatch):
         "d_lift": 2 * sum(A_TO_12[1:]),
     }
     for name in expected:
-        monkeypatch.setattr(acceptance, name, counting(name))
+        counting(acceptance, name)
+    counting(maps, "is_in_class", "is_in_class in maps")
+    if hasattr(acceptance, "is_in_class"):
+        counting(acceptance, "is_in_class", "is_in_class in acceptance")
+    expected["is_in_class in maps"] = sum(
+        expected[name] for name in ("c_to_b", "b_to_c", "d_reduce", "d_lift")
+    )
     for _ in range(2):  # a second call makes the same calls
         calls.clear()
         assert acceptance.bijection_suite(12).passed
@@ -604,6 +615,16 @@ MAP_FAULTS = [
         "d_reduce(5+1+1) bad image 5+2",
     ),
     ("d_lift", (P(3, 2, 1), 0), P(4, 2, 1), "d_reduce then d_lift failed at 3+2+2"),
+    # An image at the right weight but outside its class: only the input
+    # check of the inverse map it is handed to refuses it.
+    ("glaisher_to_odd", (P(6, 1),), P(6, 1), "glaisher_to_odd(6+1) bad image 6+1"),
+    ("c_to_b", (P(6, 1),), P(2, 2, 2), "c_to_b(6+1) bad image 2+2+2"),
+    (
+        "d_reduce",
+        (P(4, 2, 1),),
+        (P(2, 2, 2), ReductionTag(ReductionCase.SMALLEST_ABOVE_ONE)),
+        "d_reduce(4+2+1) bad image 2+2+2",
+    ),
 ]
 
 

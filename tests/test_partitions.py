@@ -65,6 +65,39 @@ def test_partition_constructor_enforces_canonical_form():
         Partition((-1, 2))
 
 
+def test_partition_constructor_takes_a_tuple_only():
+    # A generator would be drained by the check and stored spent; a list
+    # could be changed after the check, and it cannot be hashed.
+    for parts, kind in (((x for x in (3, 1)), "generator"), ([3, 1], "list")):
+        refusal = rf"^parts must be a tuple, not {kind}; use normalize\(\)$"
+        with pytest.raises(TypeError, match=refusal):
+            Partition(parts)
+
+
+def _canonical_form_error(parts):
+    """The error the constructor raises, by checking part after part: the
+    first part that is non-positive or above its predecessor decides it."""
+    for i, part in enumerate(parts):
+        if part < 1:
+            return f"non-positive part {part}; use normalize() first"
+        if i and part > parts[i - 1]:
+            return "parts must be non-increasing; use normalize() first"
+    return None
+
+
+@given(st.lists(st.integers(-2, 4), max_size=8).map(tuple))
+def test_partition_constructor_matches_a_part_by_part_check(parts):
+    # The constructor checks order and sign in one pass and names the first
+    # offending part only when that pass fails.
+    expected = _canonical_form_error(parts)
+    if expected is None:
+        assert Partition(parts).parts is parts
+    else:
+        with pytest.raises(ValueError) as refused:
+            Partition(parts)
+        assert str(refused.value) == expected
+
+
 @given(st.lists(st.integers(0, 50), max_size=20))
 def test_normalize_properties(raw):
     p = normalize(raw)

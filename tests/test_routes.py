@@ -68,6 +68,7 @@ ROUTES = {
 
 NEUTRAL = {
     partitions: (
+        "_refusal",
         "normalize",
         "parse_partition",
         "is_in_class",
@@ -86,7 +87,7 @@ NEUTRAL = {
         "_theorem_checks",
         "verify_identity",
     ),
-    acceptance: ("_criterion", "_first_detail", "run_all", *acceptance.CRITERIA),
+    acceptance: ("_criterion", "_first_detail", "_invert", "run_all", *acceptance.CRITERIA),
 }
 
 ROUTE_OF = {
